@@ -241,8 +241,10 @@ func BenchmarkWaves(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorRaw measures bare functional-simulation speed
-// (no analyses): instructions per second of the substrate.
+// BenchmarkSimulatorRaw measures near-bare functional-simulation
+// speed: every optional observer is disabled, so only the minimal
+// 1-instance repetition census remains (the census cannot be turned
+// off). Instructions per second of the substrate.
 func BenchmarkSimulatorRaw(b *testing.B) {
 	cfg := repro.Config{
 		MeasureInstructions: 1_000_000,
@@ -250,6 +252,8 @@ func BenchmarkSimulatorRaw(b *testing.B) {
 		DisableLocal:        true,
 		DisableFunc:         true,
 		DisableReuse:        true,
+		DisableVPred:        true,
+		DisableVProf:        true,
 		MaxInstances:        1, // minimal census
 	}
 	b.SetBytes(0)

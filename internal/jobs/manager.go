@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
 	"math/rand"
 	"sort"
@@ -75,7 +77,7 @@ type Options struct {
 	// Registry receives job_* counters (nil = obs.Default).
 	Registry *obs.Registry
 	// Log receives job lifecycle lines (nil = silent).
-	Log *obs.Logger
+	Log *slog.Logger
 
 	// now is the clock; tests replace it to pin backoff schedules.
 	now func() time.Time
@@ -93,6 +95,10 @@ type Stats struct {
 	Canceled    obs.Counter // jobs canceled via the API
 	Interrupted obs.Counter // jobs journaled as interrupted during drain
 	Recovered   obs.Counter // jobs re-enqueued by journal replay at startup
+	// JournalAppendErrors counts state transitions a background path
+	// (claim, completion, resume) failed to journal; the in-memory
+	// state moved on, so a restart replays the older state.
+	JournalAppendErrors obs.Counter
 }
 
 // job is the in-memory state alongside the journaled Record.
@@ -154,6 +160,9 @@ func Open(opts Options) (*Manager, error) {
 	}
 	if opts.now == nil {
 		opts.now = time.Now
+	}
+	if opts.Log == nil {
+		opts.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	journal, live, err := OpenJournal(opts.Dir)
 	if err != nil {
@@ -322,7 +331,8 @@ func (m *Manager) List() []Doc {
 // Cancel stops a job: a queued one is journaled canceled immediately,
 // a running one has its attempt aborted (the worker journals the
 // cancellation when the run unwinds). Terminal jobs return
-// ErrTerminal.
+// ErrTerminal. When the cancel of a queued job cannot be journaled,
+// the job keeps its state and the append error is returned.
 func (m *Manager) Cancel(id string) (Doc, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -340,9 +350,15 @@ func (m *Manager) Cancel(id string) (Doc, error) {
 		}
 		return m.docLocked(j), nil
 	default: // queued / interrupted
-		j.rec.State = StateCanceled
-		j.rec.UpdatedMS = m.nowMS()
-		m.journal.Append(j.rec)
+		rec := j.rec
+		rec.State = StateCanceled
+		rec.UpdatedMS = m.nowMS()
+		// A cancel that never reached disk would come back after a
+		// restart, so it is not reported done.
+		if err := m.journal.Append(rec); err != nil {
+			return m.docLocked(j), err
+		}
+		j.rec = rec
 		m.Stats.Canceled.Inc()
 		m.opts.Log.Info("job canceled", "id", short(id))
 		return m.docLocked(j), nil
@@ -397,6 +413,7 @@ func (m *Manager) StatValues() []obs.NamedValue {
 		{Name: "done", Value: int64(m.Stats.Done.Value())},
 		{Name: "failed", Value: int64(m.Stats.Failed.Value())},
 		{Name: "interrupted", Value: int64(m.Stats.Interrupted.Value())},
+		{Name: "journal_append_errors", Value: int64(m.Stats.JournalAppendErrors.Value())},
 		{Name: "journal_appends", Value: int64(m.journal.Stats.Appends.Value())},
 		{Name: "journal_compactions", Value: int64(m.journal.Stats.Compactions.Value())},
 		{Name: "journal_replayed", Value: int64(m.journal.Stats.Replayed.Value())},
@@ -453,7 +470,7 @@ func (m *Manager) next() *job {
 		if best != nil {
 			best.rec.State = StateRunning
 			best.rec.UpdatedMS = now
-			m.journal.Append(best.rec)
+			m.appendLocked(best.rec)
 			m.mu.Unlock()
 			m.signal() // there may be more eligible jobs for other workers
 			return best
@@ -538,7 +555,7 @@ func (m *Manager) onCheckpoint(j *job, ev core.CheckpointEvent) {
 	if ev.Resumed {
 		j.rec.Resumes++
 		j.rec.UpdatedMS = m.nowMS()
-		m.journal.Append(j.rec)
+		m.appendLocked(j.rec)
 		m.Stats.Resumed.Inc()
 		m.opts.Log.Info("job resumed from checkpoint",
 			"id", short(j.rec.ID), "retired", ev.Retired, "phase", ev.Phase)
@@ -595,8 +612,19 @@ func (m *Manager) complete(j *job, err error) {
 		m.opts.Log.Info("job retry scheduled", "id", short(j.rec.ID),
 			"attempt", j.rec.Retries+1, "backoff_ms", j.nextRunMS-now, "err", err.Error())
 	}
-	m.journal.Append(j.rec)
+	m.appendLocked(j.rec)
 	m.signal()
+}
+
+// appendLocked journals a transition made on a background path, where
+// no caller can take the error: a failed append is logged and counted
+// in Stats.JournalAppendErrors. Caller holds m.mu.
+func (m *Manager) appendLocked(rec Record) {
+	if err := m.journal.Append(rec); err != nil {
+		m.Stats.JournalAppendErrors.Inc()
+		m.opts.Log.Error("job journal append failed",
+			"id", short(rec.ID), "state", string(rec.State), "err", err)
+	}
 }
 
 // permanent reports whether the error can never succeed on retry.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/minic"
-	"repro/internal/obs"
 )
 
 // testSpec is a valid tiny job spec (the workload must exist; the
@@ -482,7 +482,7 @@ func TestSpecConfigRoundTrip(t *testing.T) {
 
 func TestManagerLogsLifecycle(t *testing.T) {
 	var buf bytes.Buffer
-	logMu := obs.NewLogger(&buf, obs.LevelInfo)
+	logMu := slog.New(slog.NewTextHandler(&buf, nil))
 	m := openManager(t, t.TempDir(), Options{
 		Log: logMu,
 		Runner: fakeRunner(func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
@@ -498,5 +498,52 @@ func TestManagerLogsLifecycle(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("log missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestJournalAppendFailure closes the journal file under the manager.
+// Cancelling a queued job must then fail with the append error and
+// leave the job queued, since the cancel would not survive a restart.
+// The worker's claim and completion have no caller to return the error
+// to: each must log it at error level and count it.
+func TestJournalAppendFailure(t *testing.T) {
+	var buf bytes.Buffer
+	m := openManager(t, t.TempDir(), Options{
+		Log: slog.New(slog.NewTextHandler(&buf, nil)),
+		Runner: fakeRunner(func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+			return &repro.Report{}, nil
+		}),
+	})
+	doc, _, err := m.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.journal.Close()
+
+	if _, err := m.Cancel(doc.ID); err == nil {
+		t.Fatal("cancel reported success with the journal closed")
+	}
+	if d, _ := m.Status(doc.ID); d.State != StateQueued {
+		t.Errorf("failed cancel left the job %s, want %s", d.State, StateQueued)
+	}
+	if v := m.Stats.Canceled.Value(); v != 0 {
+		t.Errorf("Canceled = %d after a failed cancel", v)
+	}
+
+	m.Start()
+	waitState(t, m, doc.ID, StateDone)
+	m.Drain()
+	// Two background appends failed: the claim (running) and the
+	// completion (done).
+	if v := m.Stats.JournalAppendErrors.Value(); v != 2 {
+		t.Errorf("JournalAppendErrors = %d, want 2", v)
+	}
+	for _, v := range m.StatValues() {
+		if v.Name == "journal_append_errors" && v.Value != 2 {
+			t.Errorf("journal_append_errors stat = %d, want 2", v.Value)
+		}
+	}
+	if out := buf.String(); strings.Count(out, `level=ERROR msg="job journal append failed"`) != 2 {
+		t.Errorf("want two error-level append failure lines:\n%s", out)
 	}
 }

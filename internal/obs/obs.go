@@ -1,8 +1,8 @@
 // Package obs is the instrumentation substrate for the reproduction
-// pipeline: counters, gauges, timers with percentile summaries, a
-// hierarchical span API for phase timing, a leveled key=value logger,
-// and the RunMetrics document that internal/core assembles after every
-// run and cmd/instrep renders with -metrics.
+// pipeline: counters, gauges, fixed-bucket latency histograms, a
+// hierarchical span API for phase timing, request traces, and the
+// RunMetrics document that internal/core assembles after every run and
+// cmd/instrep renders with -metrics. Logging is log/slog's.
 //
 // The package depends only on the standard library and is safe for
 // concurrent use; every later performance PR is expected to report its
@@ -55,9 +55,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 	health     HealthCounters
 }
@@ -73,9 +71,7 @@ func NewRegistry() *Registry {
 // during construction.
 func (r *Registry) initLocked() {
 	r.counters = make(map[string]*Counter)
-	r.gauges = make(map[string]*Gauge)
 	r.gaugeFuncs = make(map[string]func() int64)
-	r.timers = make(map[string]*Timer)
 	r.histograms = make(map[string]*Histogram)
 }
 
@@ -100,30 +96,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Timer returns the named timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Histogram returns the named fixed-bucket histogram, creating it on
@@ -177,40 +149,19 @@ func (r *Registry) GaugeFunc(name string, f func() int64) {
 	r.gaugeFuncs[name] = f
 }
 
-// GaugeValues returns a name-sorted snapshot of every gauge, stored
-// and callback alike. Callbacks run outside the registry lock (they
-// typically take their owner's lock).
+// GaugeValues returns a name-sorted snapshot of every callback gauge.
+// Callbacks run outside the registry lock (they typically take their
+// owner's lock).
 func (r *Registry) GaugeValues() []NamedValue {
 	r.mu.Lock()
-	out := make([]NamedValue, 0, len(r.gauges)+len(r.gaugeFuncs))
-	for name, g := range r.gauges {
-		out = append(out, NamedValue{Name: name, Value: g.Value()})
-	}
 	funcs := make(map[string]func() int64, len(r.gaugeFuncs))
 	for name, f := range r.gaugeFuncs {
 		funcs[name] = f
 	}
 	r.mu.Unlock()
+	out := make([]NamedValue, 0, len(funcs))
 	for name, f := range funcs {
 		out = append(out, NamedValue{Name: name, Value: f()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// TimerValues returns a name-sorted snapshot of every timer (count,
-// sum, mean, p50/p95, max) — the request-latency section of the report
-// server's /metrics document.
-func (r *Registry) TimerValues() []NamedTimer {
-	r.mu.Lock()
-	timers := make(map[string]*Timer, len(r.timers))
-	for name, t := range r.timers {
-		timers[name] = t
-	}
-	r.mu.Unlock()
-	out := make([]NamedTimer, 0, len(timers))
-	for name, t := range timers {
-		out = append(out, NamedTimer{Name: name, TimerStats: t.Snapshot()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -220,12 +171,6 @@ func (r *Registry) TimerValues() []NamedTimer {
 type NamedValue struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
-}
-
-// NamedTimer is one timer entry in a registry snapshot.
-type NamedTimer struct {
-	Name string `json:"name"`
-	TimerStats
 }
 
 // NamedHistogram is one histogram entry in a registry snapshot.

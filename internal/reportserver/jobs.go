@@ -111,7 +111,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err, http.StatusBadRequest)
 		return
 	}
-	s.log.Info("job accepted", "id", doc.ID[:12], "existing", existing)
+	if s.log != nil {
+		s.log.Info("job accepted", "id", doc.ID[:12], "existing", existing)
+	}
 	w.Header().Set("Location", "/v1/jobs/"+doc.ID)
 	if existing {
 		s.writeJSON(w, doc)

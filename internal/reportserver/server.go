@@ -47,6 +47,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -162,12 +163,12 @@ type Config struct {
 	SlowTraceThreshold time.Duration
 
 	// Log receives request-level log lines (nil = silent).
-	Log *obs.Logger
+	Log *slog.Logger
 
 	// AccessLog, when set, receives one structured line per request
 	// (trace ID, method, path, status, outcome, cache tier, queue wait,
 	// latency). The CLI wires a JSON logger here for -access-log.
-	AccessLog *obs.Logger
+	AccessLog *slog.Logger
 
 	// Run overrides the per-workload compute function (nil =
 	// repro.RunWorkload). Injectable for tests.
@@ -182,8 +183,8 @@ type Server struct {
 	breakers  *overload.BreakerSet
 	names     map[string]bool
 	reg       *obs.Registry // server_* counters, gauges, latency histograms
-	log       *obs.Logger
-	accessLog *obs.Logger
+	log       *slog.Logger
+	accessLog *slog.Logger
 	traces    *obs.TraceStore
 	runs      *repro.RunRegistry
 	slowTrace time.Duration

@@ -3,6 +3,7 @@ package reportserver
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"regexp"
 	"strings"
@@ -316,7 +317,7 @@ func TestAccessLogJSON(t *testing.T) {
 	var sims atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Run:       fakeRun(&sims, 0),
-		AccessLog: obs.NewJSONLogger(&buf, obs.LevelInfo),
+		AccessLog: slog.New(slog.NewJSONHandler(&buf, nil)),
 	})
 
 	resp, err := http.Get(ts.URL + "/v1/report/goban")
@@ -419,10 +420,28 @@ func TestMetricNamesPinned(t *testing.T) {
 		"server_latency_runs":       true,
 		"server_latency_shed":       true,
 		"server_latency_disconnect": true,
+		// job tier (instrep_job_* families)
+		"job_canceled":              true,
+		"job_deduped":               true,
+		"job_done":                  true,
+		"job_failed":                true,
+		"job_interrupted":           true,
+		"job_journal_append_errors": true,
+		"job_journal_appends":       true,
+		"job_journal_compactions":   true,
+		"job_journal_replayed":      true,
+		"job_journal_tmp_scrubbed":  true,
+		"job_journal_torn_dropped":  true,
+		"job_queued":                true,
+		"job_recovered":             true,
+		"job_resumed":               true,
+		"job_retried":               true,
+		"job_running":               true,
+		"job_submitted":             true,
 	}
 
 	var sims atomic.Int64
-	_, ts := newTestServer(t, Config{Run: fakeRun(&sims, 0)})
+	_, ts := newJobsServer(t, Config{Run: fakeRun(&sims, 0)}, JobsConfig{})
 	// Touch every endpoint class so the lazily created metrics exist.
 	for _, path := range []string{
 		"/healthz",
@@ -445,6 +464,7 @@ func TestMetricNamesPinned(t *testing.T) {
 		Latency  []obs.NamedHistogram `json:"latency"`
 		Cache    []obs.NamedValue     `json:"cache"`
 		Health   []obs.NamedValue     `json:"health"`
+		Jobs     []obs.NamedValue     `json:"jobs"`
 	}
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("metrics not JSON: %v\n%s", err, body)
@@ -467,6 +487,12 @@ func TestMetricNamesPinned(t *testing.T) {
 	}
 	for _, h := range doc.Latency {
 		lint("latency", h.Name, true)
+	}
+	if len(doc.Jobs) == 0 {
+		t.Error("metrics document has no jobs section")
+	}
+	for _, v := range doc.Jobs {
+		lint("jobs", "job_"+v.Name, true)
 	}
 	// Cache and health names feed the instrep_cache_ / instrep_health_
 	// prom families: lint the shape, ownership lives in their packages.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -48,12 +46,12 @@ type Engine struct {
 	Progress func(Progress)
 }
 
-// Execute expands the spec and runs every cell. It is fail-soft: cells
-// that error (or return truncated reports) are recorded in the result
-// with their error text and the rest of the grid still runs; the
-// returned error joins every cell failure (nil only when the whole
-// grid succeeded). Only a spec that fails validation returns a nil
-// Result.
+// Execute expands the spec and runs every cell through core.FanOut.
+// It is fail-soft: cells that error, panic, or return truncated
+// reports are recorded in the result with their error text and the
+// rest of the grid still runs; the returned error joins every cell
+// failure (nil only when the whole grid succeeded). Only a spec that
+// fails validation returns a nil Result.
 func (e *Engine) Execute(ctx context.Context, sp *Spec) (*Result, error) {
 	cells, err := Expand(sp)
 	if err != nil {
@@ -66,27 +64,11 @@ func (e *Engine) Execute(ctx context.Context, sp *Spec) (*Result, error) {
 	reg.Counter("sweep_sweeps_total").Inc()
 	reg.Counter("sweep_cells_total").Add(uint64(len(cells)))
 
-	parallel := e.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(cells) {
-		parallel = len(cells)
-	}
-
-	results := make([]CellResult, len(cells))
-	errs := make([]error, len(cells))
 	var done atomic.Int64
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i := range cells {
-		sem <- struct{}{} // acquire before spawning: at most `parallel` goroutines exist
-		wg.Add(1)
-		go func(c Cell) {
-			defer func() { <-sem; wg.Done() }()
-			rep, err := e.runCell(ctx, c)
-			results[c.Index] = newCellResult(c, rep, err)
-			errs[c.Index] = err
+	reps, errs := core.FanOut(len(cells), e.Parallel, reg.Health(),
+		func(i int) string { return cells[i].Workload },
+		func(i int) (*core.Report, error) { return e.runCell(ctx, cells[i]) },
+		func(i int, err error) {
 			if err != nil {
 				reg.Counter("sweep_cells_failed").Inc()
 			} else {
@@ -94,20 +76,19 @@ func (e *Engine) Execute(ctx context.Context, sp *Spec) (*Result, error) {
 			}
 			if e.Progress != nil {
 				e.Progress(Progress{
-					Done: int(done.Add(1)), Total: len(cells), Cell: c, Err: err,
+					Done: int(done.Add(1)), Total: len(cells), Cell: cells[i], Err: err,
 				})
 			}
-		}(cells[i])
-	}
-	wg.Wait()
-
-	res := newResult(sp, results)
+		})
+	results := make([]CellResult, len(cells))
 	var failures []error
-	for i, err := range errs {
-		if err != nil {
-			failures = append(failures, fmt.Errorf("%s: %w", cells[i].ID(), err))
+	for i, c := range cells {
+		results[i] = newCellResult(c, reps[i], errs[i])
+		if errs[i] != nil {
+			failures = append(failures, fmt.Errorf("%s: %w", c.ID(), errs[i]))
 		}
 	}
+	res := newResult(sp, results)
 	if len(failures) > 0 {
 		return res, fmt.Errorf("sweep: %d of %d cells failed: %w",
 			len(failures), len(cells), errors.Join(failures...))

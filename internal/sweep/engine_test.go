@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -91,59 +93,85 @@ func TestEngineBoundsParallelism(t *testing.T) {
 	}
 }
 
+// TestEngineFailSoft injects a failing point — a returned error, or a
+// panic that the shared fan-out must recover — and requires the failed
+// cells to become error rows while every other cell runs and produces
+// the same bytes as in a clean sweep.
 func TestEngineFailSoft(t *testing.T) {
+	clean, err := (&Engine{Run: fakeRun, Metrics: obs.NewRegistry()}).Execute(context.Background(), testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	boom := errors.New("injected cell failure")
-	run := func(ctx context.Context, workload string, cfg core.Config) (*core.Report, error) {
-		if workload == "scrip" && cfg.ReuseEntries == 256 {
-			return nil, boom
-		}
-		return fakeRun(ctx, workload, cfg)
-	}
-	reg := obs.NewRegistry()
-	e := &Engine{Run: run, Metrics: reg}
-	res, err := e.Execute(context.Background(), testSpec())
-	if err == nil {
-		t.Fatal("want joined failure error")
-	}
-	if !errors.Is(err, boom) {
-		t.Errorf("joined error does not wrap the cell failure: %v", err)
-	}
-	var failed, ok int
-	for i := range res.Cells {
-		if res.Cells[i].OK() {
-			ok++
-		} else {
-			failed++
-			if !strings.Contains(res.Cells[i].Error, "injected cell failure") {
-				t.Errorf("cell error text %q", res.Cells[i].Error)
+	for _, tc := range []struct {
+		name, text string
+		fail       func() (*core.Report, error)
+	}{
+		{"error", "injected cell failure", func() (*core.Report, error) { return nil, boom }},
+		{"panic", "recovered panic: injected cell panic", func() (*core.Report, error) { panic("injected cell panic") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(ctx context.Context, workload string, cfg core.Config) (*core.Report, error) {
+				if workload == "scrip" && cfg.ReuseEntries == 256 {
+					return tc.fail()
+				}
+				return fakeRun(ctx, workload, cfg)
 			}
-		}
-	}
-	// entries=256 × 2 assoc × 3 policies × workload scrip = 6 failures.
-	if failed != 6 || ok != len(res.Cells)-6 {
-		t.Errorf("failed=%d ok=%d of %d", failed, ok, len(res.Cells))
-	}
-	if v := reg.Counter("sweep_cells_failed").Value(); v != 6 {
-		t.Errorf("sweep_cells_failed = %d, want 6", v)
-	}
-	// Aggregates over the failed point still average the survivors.
-	for _, a := range res.Aggregate {
-		want := 3
-		if a.Entries == 256 {
-			want = 2
-		}
-		if a.Workloads != want {
-			t.Errorf("aggregate e%d-a%d-%s: %d contributing workloads, want %d",
-				a.Entries, a.Assoc, a.Policy, a.Workloads, want)
-		}
-	}
-	// The CSV still renders every row, failures carrying error text.
-	csv := string(res.CSV())
-	if got := strings.Count(csv, "\n"); got != 1+len(res.Cells)+len(res.Aggregate) {
-		t.Errorf("CSV has %d lines", got)
-	}
-	if !strings.Contains(csv, "injected cell failure") {
-		t.Error("CSV lost the failure diagnostic")
+			reg := obs.NewRegistry()
+			e := &Engine{Run: run, Metrics: reg}
+			res, err := e.Execute(context.Background(), testSpec())
+			if err == nil || !strings.Contains(err.Error(), tc.text) {
+				t.Fatalf("joined error does not carry the cell failure: %v", err)
+			}
+			if tc.name == "error" && !errors.Is(err, boom) {
+				t.Errorf("joined error does not wrap the cell failure: %v", err)
+			}
+			var failed, ok int
+			for i := range res.Cells {
+				if res.Cells[i].OK() {
+					ok++
+					got, _ := json.Marshal(res.Cells[i])
+					want, _ := json.Marshal(clean.Cells[i])
+					if !bytes.Equal(got, want) {
+						t.Errorf("surviving cell %d differs from the clean sweep", i)
+					}
+				} else {
+					failed++
+					if !strings.Contains(res.Cells[i].Error, tc.text) {
+						t.Errorf("cell error text %q", res.Cells[i].Error)
+					}
+				}
+			}
+			// entries=256 × 2 assoc × 3 policies × workload scrip = 6 failures.
+			if failed != 6 || ok != len(res.Cells)-6 {
+				t.Errorf("failed=%d ok=%d of %d", failed, ok, len(res.Cells))
+			}
+			if v := reg.Counter("sweep_cells_failed").Value(); v != 6 {
+				t.Errorf("sweep_cells_failed = %d, want 6", v)
+			}
+			// Aggregates over the failed point still average the survivors.
+			for _, a := range res.Aggregate {
+				want := 3
+				if a.Entries == 256 {
+					want = 2
+				}
+				if a.Workloads != want {
+					t.Errorf("aggregate e%d-a%d-%s: %d contributing workloads, want %d",
+						a.Entries, a.Assoc, a.Policy, a.Workloads, want)
+				}
+			}
+			// The CSV still renders every row, failures carrying error text.
+			rows, err := csv.NewReader(bytes.NewReader(res.CSV())).ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(rows); got != 1+len(res.Cells)+len(res.Aggregate) {
+				t.Errorf("CSV has %d rows", got)
+			}
+			if !strings.Contains(string(res.CSV()), tc.text) {
+				t.Error("CSV lost the failure diagnostic")
+			}
+		})
 	}
 }
 

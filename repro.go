@@ -35,9 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/minic"
@@ -202,8 +200,8 @@ func FormatMetrics(rs []*Report) string {
 // ones that succeeded — plus any partial (Truncated) reports from
 // runs cut short mid-window — are still returned, in report order,
 // alongside an errors.Join-aggregated error naming every failure. A
-// panicking workload fails alone: its goroutine recovers the panic
-// into its error slot and the other workloads run to completion.
+// panicking workload fails alone: core.FanOut recovers the panic into
+// its error slot and the other workloads run to completion.
 // Callers that only care about total success can keep treating a
 // non-nil error as fatal.
 func RunAll(ctx context.Context, cfg Config) ([]*Report, error) {
@@ -213,27 +211,10 @@ func RunAll(ctx context.Context, cfg Config) ([]*Report, error) {
 // runAll is RunAll with the workload set and runner injected (tested
 // with deliberately failing runners).
 func runAll(ctx context.Context, names []string, cfg Config, runOne func(context.Context, string, Config) (*Report, error)) ([]*Report, error) {
-	parallel := cfg.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(names) {
-		parallel = len(names)
-	}
-	byIndex := make([]*Report, len(names))
-	errs := make([]error, len(names))
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i, name := range names {
-		sem <- struct{}{} // acquire before spawning: at most `parallel` goroutines exist
-		wg.Add(1)
-		go func(i int, name string) {
-			defer func() { <-sem; wg.Done() }()
-			defer recoverToError(healthOf(cfg), name, &byIndex[i], &errs[i])
-			byIndex[i], errs[i] = runOne(ctx, name, cfg)
-		}(i, name)
-	}
-	wg.Wait()
+	byIndex, errs := core.FanOut(len(names), cfg.Parallel, healthOf(cfg),
+		func(i int) string { return names[i] },
+		func(i int) (*Report, error) { return runOne(ctx, names[i], cfg) },
+		nil)
 
 	out := make([]*Report, 0, len(names))
 	var failures []error
