@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test vet race check cover bench benchsmoke differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke repro lint examples
+.PHONY: all test vet race check cover bench benchsmoke perfbench differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke repro lint examples
 
 all: check
 
@@ -11,8 +11,9 @@ all: check
 # a bounded fuzz pass over the panic-sensitive decoders, the
 # SIGKILL/resume checkpoint loop, the durable-job crash/restart
 # chaos test, the extended chaos run against the overload-hardened
-# server, and a tiny end-to-end design-space sweep through the CLI.
-check: test lint race cover benchsmoke differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke
+# server, a tiny end-to-end design-space sweep through the CLI, and
+# a build of the benchmark module.
+check: test lint race cover benchsmoke perfbench differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke
 
 # Enforced statement-coverage floor across the whole module. The
 # current baseline is ~84%; the floor sits a few points below so
@@ -36,16 +37,19 @@ race:
 	go test -race ./...
 
 # Full bench harness: one benchmark per table/figure plus ablations
-# and the hot-path micro-benchmarks, then a BENCH_run.json snapshot of
-# the per-workload RunMetrics (retire rate, observer shares) so the
-# perf trajectory is comparable across PRs. The snapshot is recorded
-# through the min-of-N-waves harness (WAVES full runs per workload,
-# fastest wave kept, per-wave rates and spread under metrics.waves);
-# override the wave count with `make bench WAVES=9`.
-WAVES ?= 5
+# and the hot-path micro-benchmarks, then a traced run of each
+# workload of the repository benchmark (perfbench/README.md), which
+# prints the end-to-end metrics and the per-layer ledger.
 bench:
 	go test -run '^$$' -bench . -benchmem -benchtime 1x -count 3 .
-	go run ./cmd/instrep run -bench all -waves $(WAVES) -metrics json > BENCH_run.json
+	for w in paper-full sweep-grid serve-mixed; do \
+		bash perfbench/run.sh --workload $$w --trace 1 || exit 1; \
+	done
+
+# perfbench is its own module, so the root `./...` never builds it;
+# this keeps the benchmark compiling against the API it uses.
+perfbench:
+	cd perfbench && go build -o /dev/null ./... && go vet ./...
 
 # Interpreter-vs-translator equivalence: the machine-level event-
 # stream/state differential (random programs + workload prefixes, all

@@ -193,54 +193,6 @@ func BenchmarkAblationReuseGeometry(b *testing.B) {
 	}
 }
 
-// BenchmarkWaves is the min-of-N-waves retire-rate harness in
-// testing.B form (the CLI equivalent is `instrep run -waves N`): each
-// workload's measure window runs `waves` times, and the benchmark
-// reports the best wave (minimum wall time — the least machine-noise-
-// perturbed observation) plus the spread the waves saw. The
-// interpreted sub-benchmarks re-measure the same windows with the
-// translation cache disabled, so one run yields the before/after pair.
-func BenchmarkWaves(b *testing.B) {
-	const waves = 3
-	window := uint64(1_000_000)
-	for _, mode := range []struct {
-		name        string
-		noTranslate bool
-	}{{"translated", false}, {"interpreted", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for _, name := range repro.Workloads() {
-				b.Run(name, func(b *testing.B) {
-					cfg := repro.Config{
-						SkipInstructions:    200_000,
-						MeasureInstructions: window,
-						DisableTranslation:  mode.noTranslate,
-					}
-					var best, worst float64
-					for i := 0; i < b.N; i++ {
-						for w := 0; w < waves; w++ {
-							r, err := repro.RunWorkload(context.Background(), name, cfg)
-							if err != nil {
-								b.Fatal(err)
-							}
-							mips := r.Metrics.RetireRateMIPS
-							if best == 0 || mips > best {
-								best = mips
-							}
-							if worst == 0 || mips < worst {
-								worst = mips
-							}
-						}
-					}
-					b.ReportMetric(best, "best_mips")
-					if best > 0 {
-						b.ReportMetric(100*(best-worst)/best, "spread_%")
-					}
-				})
-			}
-		})
-	}
-}
-
 // BenchmarkSimulatorRaw measures near-bare functional-simulation
 // speed: every optional observer is disabled, so only the minimal
 // 1-instance repetition census remains (the census cannot be turned

@@ -21,7 +21,9 @@
 //	    observability document (phase wall times, simulator counters,
 //	    per-observer attributed cost, nonzero health counters) after
 //	    the tables; -progress renders a live stderr ticker; the profile
-//	    flags write runtime/pprof profiles.
+//	    flags write runtime/pprof profiles. Throughput is measured by
+//	    the perfbench module, not by this command: see
+//	    perfbench/README.md and BENCHMARK.json.
 //	    If some workloads fail, the tables for the ones that succeeded
 //	    still print and the command exits nonzero. A run cut short
 //	    (^C, -timeout, -watchdog) still renders what it measured: its
@@ -39,7 +41,7 @@
 //
 //	instrep serve [-addr HOST:PORT] [-cache-dir DIR] [-cache-entries N]
 //	              [-cache-max-bytes N] [-checkpoint-dir DIR]
-//	              [-skip N] [-measure N]
+//	              [-skip N] [-measure N] [-timeout D] [-watchdog D]
 //	              [-request-timeout D] [-max-concurrent-sims N]
 //	              [-queue-depth N] [-breaker-threshold N]
 //	              [-breaker-cooldown D] [-retry-after D]
@@ -55,7 +57,8 @@
 //	    simulation — then served from memory/disk. The daemon is
 //	    overload-hardened: cold simulations pass a bounded admission
 //	    gate (-max-concurrent-sims slots, -queue-depth FIFO waiters,
-//	    excess shed with 503 + Retry-After), workloads failing
+//	    excess shed with 503 + Retry-After; /v1/tables/all simulates
+//	    as many workloads at once as there are slots), workloads failing
 //	    -breaker-threshold times in a row trip a per-workload circuit
 //	    breaker for -breaker-cooldown, and -serve-stale answers shed or
 //	    failed requests with the last known-good report under an
@@ -79,12 +82,12 @@
 //	    submissions are journaled to disk, deduplicated by result-cache
 //	    fingerprint, executed under the admission gate with -job-retries
 //	    transient retries (exponential backoff; compile errors never
-//	    retry) and an optional per-attempt -job-deadline, and survive
-//	    kill -9: on restart the journal replays, interrupted jobs
-//	    re-enqueue, and — with -checkpoint-dir — resume from their last
-//	    snapshot, producing reports byte-identical to uninterrupted
-//	    runs (-job-checkpoint-every N paces job snapshots by retire
-//	    count instead of wall clock).
+//	    retry), each attempt bounded by -timeout, and survive kill -9:
+//	    on restart the journal replays, interrupted jobs re-enqueue,
+//	    and — with -checkpoint-dir — resume from their last snapshot,
+//	    producing reports byte-identical to uninterrupted runs
+//	    (-job-checkpoint-every N paces job snapshots by retire count
+//	    instead of wall clock).
 //	    ^C or SIGTERM shuts down gracefully: in-flight simulations are
 //	    canceled and running jobs are journaled as interrupted for the
 //	    next process to finish.
@@ -255,7 +258,6 @@ func cmdRun(ctx context.Context, args []string) error {
 	timeout := fs.Duration("timeout", 0, "per-workload wall-clock limit (0 = none)")
 	watchdog := fs.Duration("watchdog", 0, "abort a workload making no retire progress for this long (0 = off)")
 	noTranslate := fs.Bool("no-translate", false, "force the single-step interpreter instead of the block translation cache (same reports, slower)")
-	waves := fs.Int("waves", 1, "min-of-N-waves measurement: run every workload N times and keep the fastest wave's report, with all wave retire rates recorded under metrics (pointless with -cache-dir: cached waves repeat the first measurement)")
 	asJSON := fs.Bool("json", false, "emit the raw reports as JSON instead of tables")
 	metrics := fs.String("metrics", "", "print run metrics after the tables: 'text' or 'json'")
 	progress := fs.Bool("progress", false, "render a live progress ticker on stderr")
@@ -379,57 +381,22 @@ func cmdRun(ctx context.Context, args []string) error {
 	// including truncated partial reports from runs cut short — still
 	// render below, and the error is returned at the end so the exit
 	// status reflects the failure.
-	runOnce := func() ([]*repro.Report, error) {
-		if *bench == "all" {
-			return runner.RunAll(ctx, cfg)
-		}
-		r, err := runner.RunWorkload(ctx, *bench, cfg)
-		if r == nil {
-			return nil, err
-		}
-		return []*repro.Report{r}, err
-	}
-
-	var runErr error
 	var reports []*repro.Report
-	reports, runErr = runOnce()
+	var runErr error
+	if *bench == "all" {
+		reports, runErr = runner.RunAll(ctx, cfg)
+	} else {
+		var r *repro.Report
+		r, runErr = runner.RunWorkload(ctx, *bench, cfg)
+		if r != nil {
+			reports = []*repro.Report{r}
+		}
+	}
 	if runErr != nil && len(reports) == 0 {
 		return runErr
 	}
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "instrep: continuing with %d surviving reports: %v\n", len(reports), runErr)
-	}
-
-	// Min-of-N-waves: repeat the whole run, keep each workload's
-	// fastest wave (the least-perturbed measurement of the machine's
-	// speed — reports are identical across waves, only timing differs),
-	// and record every wave's rate so the spread is visible.
-	if *waves > 1 && runErr == nil {
-		rates := make(map[string][]float64, len(reports))
-		index := make(map[string]int, len(reports))
-		for i, r := range reports {
-			rates[r.Benchmark] = []float64{r.Metrics.RetireRateMIPS}
-			index[r.Benchmark] = i
-		}
-		for w := 1; w < *waves; w++ {
-			next, err := runOnce()
-			if err != nil {
-				return fmt.Errorf("wave %d/%d: %w", w+1, *waves, err)
-			}
-			for _, nr := range next {
-				i, ok := index[nr.Benchmark]
-				if !ok {
-					continue
-				}
-				rates[nr.Benchmark] = append(rates[nr.Benchmark], nr.Metrics.RetireRateMIPS)
-				if nr.Metrics.RetireRateMIPS > reports[i].Metrics.RetireRateMIPS {
-					reports[i] = nr
-				}
-			}
-		}
-		for _, r := range reports {
-			r.Metrics.Waves = obs.NewWaveStats(rates[r.Benchmark])
-		}
 	}
 
 	if *asJSON {
@@ -493,7 +460,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	reuseEntries := fs.Int("reuse-entries", 0, "reuse buffer entries (0 = paper's 8192)")
 	reuseAssoc := fs.Int("reuse-assoc", 0, "reuse buffer associativity (0 = paper's 4)")
 	variant := fs.Int("input-variant", 1, "workload input data set (1 = standard, 2 = alternate)")
-	parallel := fs.Int("parallel", 0, "max workloads simulated concurrently for /v1/tables/all (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "per-workload simulation wall-clock limit (0 = none)")
 	watchdog := fs.Duration("watchdog", 0, "abort a simulation making no retire progress for this long (0 = off)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request timeout including any simulation (0 = the 2m default, negative = none)")
@@ -510,7 +476,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	quiet := fs.Bool("quiet", false, "suppress request logging")
 	jobDir := fs.String("job-dir", "", "durable async job journal directory: enables POST /v1/jobs, crash-safe across restarts (\"\" = off; pair with -checkpoint-dir so interrupted jobs resume mid-simulation)")
 	jobRetries := fs.Int("job-retries", 0, "transient-failure retries per job (0 = default 3, negative = none)")
-	jobDeadline := fs.Duration("job-deadline", 0, "per-attempt wall-clock limit for async jobs (0 = none)")
 	jobWorkers := fs.Int("job-workers", 0, "concurrent async job executors (0 = default 2; simulations still share the admission gate)")
 	jobCkptEvery := fs.Uint64("job-checkpoint-every", 0, "retired instructions between job snapshots (0 = wall-clock pacing; needs -job-dir and -checkpoint-dir)")
 	if err := fs.Parse(args); err != nil {
@@ -519,8 +484,8 @@ func cmdServe(ctx context.Context, args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("serve takes no positional arguments")
 	}
-	if *jobDir == "" && (*jobRetries != 0 || *jobDeadline != 0 || *jobWorkers != 0 || *jobCkptEvery != 0) {
-		return fmt.Errorf("-job-retries/-job-deadline/-job-workers/-job-checkpoint-every need -job-dir")
+	if *jobDir == "" && (*jobRetries != 0 || *jobWorkers != 0 || *jobCkptEvery != 0) {
+		return fmt.Errorf("-job-retries/-job-workers/-job-checkpoint-every need -job-dir")
 	}
 	if *jobCkptEvery != 0 && *checkpointDir == "" {
 		return fmt.Errorf("-job-checkpoint-every needs -checkpoint-dir")
@@ -567,7 +532,6 @@ func cmdServe(ctx context.Context, args []string) error {
 			ReuseEntries:        *reuseEntries,
 			ReuseAssoc:          *reuseAssoc,
 			InputVariant:        *variant,
-			Parallel:            *parallel,
 			Timeout:             *timeout,
 			WatchdogInterval:    *watchdog,
 		},
@@ -589,7 +553,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		if err := srv.OpenJobs(reportserver.JobsConfig{
 			Dir:             *jobDir,
 			Retries:         *jobRetries,
-			Deadline:        *jobDeadline,
 			Workers:         *jobWorkers,
 			CheckpointEvery: *jobCkptEvery,
 		}); err != nil {

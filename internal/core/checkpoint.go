@@ -17,14 +17,14 @@ import (
 )
 
 // DefaultCheckpointInterval is the wall-clock snapshot period when
-// the policy sets neither pacer. Snapshots of a full-window run cost
-// ~100ms each (tens of MB of tracker + memory state serialized,
-// hashed, and written), so pacing by wall clock is what keeps the
-// overhead bounded regardless of window size: one write per 15s is
-// <1% of retire rate on any run long enough to need checkpointing,
-// and a short run that finishes inside the interval pays nothing.
-// Count-based pacing (Every) remains available when a test or tool
-// needs deterministic snapshot points.
+// the policy sets no count pacer (Every). Snapshots of a full-window
+// run cost ~100ms each (tens of MB of tracker + memory state
+// serialized, hashed, and written), so pacing by wall clock is what
+// keeps the overhead bounded regardless of window size: one write per
+// 15s is <1% of retire rate on any run long enough to need
+// checkpointing, and a short run that finishes inside the interval
+// pays nothing. Count-based pacing (Every) remains available when a
+// test or tool needs deterministic snapshot points.
 const DefaultCheckpointInterval = 15 * time.Second
 
 // CheckpointPolicy tells Run when and where to snapshot. The zero
@@ -37,15 +37,10 @@ type CheckpointPolicy struct {
 	// (workload, config, version) run.
 	Key string
 	// Every is a retire-count pacer: a snapshot lands on the first
-	// chunk boundary at or past every N retired instructions
-	// (0 = no count pacing). Deterministic, so tests use it to pin
-	// snapshot points.
+	// chunk boundary at or past every N retired instructions.
+	// Deterministic, so tests use it to pin snapshot points. 0 paces
+	// by wall clock instead, every DefaultCheckpointInterval.
 	Every uint64
-	// Interval is a wall-clock pacer: a snapshot lands on the first
-	// chunk boundary after each period elapses. 0 means
-	// DefaultCheckpointInterval — unless Every is set, in which case
-	// 0 disables time pacing (the caller asked for count-only).
-	Interval time.Duration
 	// Resume makes Run look for a snapshot under Key at startup and
 	// continue from it. A snapshot that fails validation is counted,
 	// deleted, and ignored — the run starts fresh.
@@ -59,14 +54,6 @@ type CheckpointPolicy struct {
 // enabled reports whether the policy can snapshot at all.
 func (cp *CheckpointPolicy) enabled() bool {
 	return cp != nil && cp.Store != nil && cp.Key != ""
-}
-
-// interval returns the effective wall-clock period (0 = disabled).
-func (cp *CheckpointPolicy) interval() time.Duration {
-	if cp.Interval == 0 && cp.Every == 0 {
-		return DefaultCheckpointInterval
-	}
-	return cp.Interval
 }
 
 // CheckpointEvent describes one checkpoint action during a run.
@@ -161,6 +148,27 @@ func restoreBody(body []byte, ck *ckState) (resumeState, error) {
 	return rs, nil
 }
 
+// snapshotPart is one optional observer in snapshot order, with
+// whether this pipeline has it.
+type snapshotPart struct {
+	present bool
+	s       checkpoint.Snapshotter
+}
+
+// snapshotParts lists the optional observers in the order their
+// blocks appear after the census in a snapshot body. snapshotTo and
+// restoreFrom both walk it, so the two cannot drift apart.
+func (p *Pipeline) snapshotParts() []snapshotPart {
+	return []snapshotPart{
+		{p.Taint != nil, p.Taint},
+		{p.Local != nil, p.Local},
+		{p.Funcs != nil, p.Funcs},
+		{p.Reuse != nil, p.Reuse},
+		{p.VPred != nil, p.VPred},
+		{p.VProf != nil, p.VProf},
+	}
+}
+
 // snapshotTo writes every pipeline observer after flushing the event
 // batch. Presence flags guard each optional observer so a snapshot
 // taken under one analysis config can never restore into another
@@ -169,29 +177,11 @@ func restoreBody(body []byte, ck *ckState) (resumeState, error) {
 func (p *Pipeline) snapshotTo(w *checkpoint.Writer) {
 	p.flush()
 	p.Rep.SnapshotTo(w)
-	w.Bool(p.Taint != nil)
-	if p.Taint != nil {
-		p.Taint.SnapshotTo(w)
-	}
-	w.Bool(p.Local != nil)
-	if p.Local != nil {
-		p.Local.SnapshotTo(w)
-	}
-	w.Bool(p.Funcs != nil)
-	if p.Funcs != nil {
-		p.Funcs.SnapshotTo(w)
-	}
-	w.Bool(p.Reuse != nil)
-	if p.Reuse != nil {
-		p.Reuse.SnapshotTo(w)
-	}
-	w.Bool(p.VPred != nil)
-	if p.VPred != nil {
-		p.VPred.SnapshotTo(w)
-	}
-	w.Bool(p.VProf != nil)
-	if p.VProf != nil {
-		p.VProf.SnapshotTo(w)
+	for _, pt := range p.snapshotParts() {
+		w.Bool(pt.present)
+		if pt.present {
+			pt.s.SnapshotTo(w)
+		}
 	}
 }
 
@@ -202,19 +192,7 @@ func (p *Pipeline) restoreFrom(r *checkpoint.Reader) error {
 	if err := p.Rep.RestoreFrom(r); err != nil {
 		return err
 	}
-	type part struct {
-		present bool
-		restore func(*checkpoint.Reader) error
-	}
-	parts := []part{
-		{p.Taint != nil, func(r *checkpoint.Reader) error { return p.Taint.RestoreFrom(r) }},
-		{p.Local != nil, func(r *checkpoint.Reader) error { return p.Local.RestoreFrom(r) }},
-		{p.Funcs != nil, func(r *checkpoint.Reader) error { return p.Funcs.RestoreFrom(r) }},
-		{p.Reuse != nil, func(r *checkpoint.Reader) error { return p.Reuse.RestoreFrom(r) }},
-		{p.VPred != nil, func(r *checkpoint.Reader) error { return p.VPred.RestoreFrom(r) }},
-		{p.VProf != nil, func(r *checkpoint.Reader) error { return p.VProf.RestoreFrom(r) }},
-	}
-	for _, pt := range parts {
+	for _, pt := range p.snapshotParts() {
 		present := r.Bool()
 		if r.Err() != nil {
 			return r.Err()
@@ -223,7 +201,7 @@ func (p *Pipeline) restoreFrom(r *checkpoint.Reader) error {
 			return checkpoint.ErrMalformed
 		}
 		if present {
-			if err := pt.restore(r); err != nil {
+			if err := pt.s.RestoreFrom(r); err != nil {
 				return err
 			}
 		}
@@ -272,13 +250,10 @@ func (ck *ckState) atBoundary(phase string, retired, done uint64) {
 // due reports whether the policy calls for a snapshot at this retire
 // count.
 func (ck *ckState) due(retired uint64) bool {
-	if every := ck.policy.Every; every > 0 && retired >= ck.lastRetired+every {
-		return true
+	if every := ck.policy.Every; every > 0 {
+		return retired >= ck.lastRetired+every
 	}
-	if iv := ck.policy.interval(); iv > 0 && time.Since(ck.lastAt) >= iv {
-		return true
-	}
-	return false
+	return time.Since(ck.lastAt) >= DefaultCheckpointInterval
 }
 
 // maybeWrite snapshots at a chunk boundary when the policy says one

@@ -66,12 +66,6 @@ type Config struct {
 	// tests and the before/after benchmark comparison.
 	DisableTranslation bool
 
-	// ObserverSampleEvery is the cost-attribution sampling period:
-	// one event batch in every N is timed per observer pass and the
-	// totals extrapolated (0 = the default of 1024; negative disables
-	// attribution).
-	ObserverSampleEvery int
-
 	// Parallel bounds the worker pool repro.RunAll uses to run
 	// workloads concurrently (0 = GOMAXPROCS). Individual core.Run
 	// calls are single-threaded; this only matters to multi-workload
@@ -138,13 +132,13 @@ type Progress struct {
 	Final     bool   // last update for this phase
 }
 
-// defaultSampleEvery is the attribution sampling period in *flushes*:
+// sampleEvery is the attribution sampling period in *flushes*:
 // one flush in every N is timed per observer pass and the totals are
 // extrapolated over the whole event stream. A timed flush covers a
 // full batch, so the sampled fraction of events is 1/N — the same
 // coverage the pre-batch per-instruction sampler had — while the
 // clock reads drop from two per event to two per N*batchSize events.
-const defaultSampleEvery = 1024
+const sampleEvery = 1024
 
 // batchSize is the event-batch length of the observer-major dispatch:
 // big enough to amortize per-pass call overhead and keep each
@@ -207,17 +201,16 @@ type Pipeline struct {
 	counting bool
 	b        batch
 
-	// Observer cost attribution: when sampleEvery > 0, one flush in
-	// every sampleEvery is timed per observer pass (samples counts the
-	// events those flushes covered, totalEvs the whole stream, so the
-	// cost report extrapolates); repNS covers the repetition tracker
-	// (which runs before the stages to produce the verdicts).
-	stages      []stage
-	sampleEvery uint64
-	flushes     uint64
-	samples     uint64
-	totalEvs    uint64
-	repNS       time.Duration
+	// Observer cost attribution: one flush in every sampleEvery is
+	// timed per observer pass (samples counts the events those flushes
+	// covered, totalEvs the whole stream, so the cost report
+	// extrapolates); repNS covers the repetition tracker (which runs
+	// before the stages to produce the verdicts).
+	stages   []stage
+	flushes  uint64
+	samples  uint64
+	totalEvs uint64
+	repNS    time.Duration
 }
 
 // SetCounting opens (or closes) the measurement window. While closed,
@@ -247,12 +240,6 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 	p.Rep.SetTextBounds(program.TextBase, im.StaticInstructions())
 	if cfg.MaxInstances > 0 {
 		p.Rep.MaxInstances = cfg.MaxInstances
-	}
-	switch {
-	case cfg.ObserverSampleEvery > 0:
-		p.sampleEvery = uint64(cfg.ObserverSampleEvery)
-	case cfg.ObserverSampleEvery == 0:
-		p.sampleEvery = defaultSampleEvery
 	}
 	p.b.evs = make([]cpu.Event, 0, batchSize)
 	p.b.vers = make([]bool, 0, batchSize)
@@ -381,7 +368,7 @@ func (p *Pipeline) flush() {
 	if len(b.kinds) == 0 {
 		return
 	}
-	timed := p.sampleEvery > 0 && p.flushes%p.sampleEvery == 0
+	timed := p.flushes%sampleEvery == 0
 	p.flushes++
 	p.totalEvs += uint64(len(b.evs))
 	var now time.Time
@@ -905,7 +892,7 @@ func runMetrics(root *obs.Span, m *cpu.Machine, p *Pipeline, name string, measur
 	rm := &obs.RunMetrics{
 		Benchmark:           name,
 		Phases:              root.Tree(),
-		ObserverSampleEvery: p.sampleEvery,
+		ObserverSampleEvery: sampleEvery,
 		Observers:           p.ObserverCosts(),
 		Sim: obs.SimCounters{
 			Retired:       m.Count,

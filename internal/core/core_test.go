@@ -229,7 +229,6 @@ func TestRunMetricsCollected(t *testing.T) {
 	cfg := core.Config{
 		SkipInstructions:    10_000,
 		MeasureInstructions: 100_000,
-		ObserverSampleEvery: 16,
 		Progress:            func(p core.Progress) { updates = append(updates, p) },
 	}
 	r, err := core.Run(context.Background(), im, w.Input(1), "lzw", cfg)
@@ -306,27 +305,5 @@ func TestRunMetricsCollected(t *testing.T) {
 	}
 	if got := byPhase["measure"][len(byPhase["measure"])-1].Done; got != r.MeasuredInstructions {
 		t.Errorf("final measure Done = %d, want %d", got, r.MeasuredInstructions)
-	}
-}
-
-func TestRunMetricsSamplingDisabled(t *testing.T) {
-	w, _ := workloads.ByName("lzw")
-	im, err := w.Image()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.Config{
-		MeasureInstructions: 50_000,
-		ObserverSampleEvery: -1,
-	}
-	r, err := core.Run(context.Background(), im, w.Input(1), "lzw", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Metrics == nil {
-		t.Fatal("no RunMetrics on report")
-	}
-	if len(r.Metrics.Observers) != 0 {
-		t.Errorf("attribution should be disabled, got %+v", r.Metrics.Observers)
 	}
 }

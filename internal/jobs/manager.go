@@ -33,11 +33,13 @@ var (
 
 // Defaults, overridable via Options.
 const (
-	DefaultRetries    = 3
-	DefaultWorkers    = 2
-	DefaultBackoff    = 500 * time.Millisecond
-	DefaultMaxBackoff = time.Minute
+	DefaultRetries = 3
+	DefaultWorkers = 2
+	DefaultBackoff = 500 * time.Millisecond
 )
+
+// maxBackoff caps the retry delay.
+const maxBackoff = time.Minute
 
 // Options configures a Manager.
 type Options struct {
@@ -58,23 +60,19 @@ type Options struct {
 	// Retries bounds attempts after the first: a job runs at most
 	// 1+Retries times (0 = DefaultRetries; negative = no retries).
 	Retries int
-	// Deadline bounds each attempt's wall clock (0 = none). A blown
-	// deadline is transient — the next attempt resumes from the last
-	// checkpoint, so bounded retries still make forward progress.
-	Deadline time.Duration
 	// Workers is the number of concurrent job executors (0 =
 	// DefaultWorkers). The Runner's Gate still applies underneath.
 	Workers int
-	// Backoff and MaxBackoff shape the retry schedule:
-	// Backoff·2^(attempt-1) ±25% jitter, capped at MaxBackoff.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// Backoff is the base of the retry schedule:
+	// Backoff·2^(attempt-1) ±25% jitter, capped at one minute.
+	Backoff time.Duration
 	// Shape, when set, adjusts each attempt's Config just before the
 	// run — the server copies its execution-shaping fields (timeout,
 	// watchdog, dispatch path) here, since those are deliberately not
 	// part of the job Spec.
 	Shape func(*core.Config)
-	// Registry receives job_* counters (nil = obs.Default).
+	// Registry is not read: the job_* counters live in Manager.Stats
+	// and reach /metrics through StatValues.
 	Registry *obs.Registry
 	// Log receives job lifecycle lines (nil = silent).
 	Log *slog.Logger
@@ -154,9 +152,6 @@ func Open(opts Options) (*Manager, error) {
 	}
 	if opts.Backoff <= 0 {
 		opts.Backoff = DefaultBackoff
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = DefaultMaxBackoff
 	}
 	if opts.now == nil {
 		opts.now = time.Now
@@ -499,13 +494,7 @@ func (m *Manager) next() *job {
 
 // runJob executes one attempt and routes the outcome through complete.
 func (m *Manager) runJob(j *job) {
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if m.opts.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(m.ctx, m.opts.Deadline)
-	} else {
-		ctx, cancel = context.WithCancel(m.ctx)
-	}
+	ctx, cancel := context.WithCancel(m.ctx)
 	defer cancel()
 	m.mu.Lock()
 	j.cancelAttempt = cancel
@@ -639,15 +628,15 @@ func permanent(err error) bool {
 }
 
 // backoffMS is the retry delay in ms for the n-th retry (n ≥ 1):
-// Backoff·2^(n-1), ±25% jitter, capped at MaxBackoff. Jitter spreads
+// Backoff·2^(n-1), ±25% jitter, capped at maxBackoff. Jitter spreads
 // the thundering herd of jobs re-enqueued together by a drain.
 func (m *Manager) backoffMS(n int) int64 {
 	d := m.opts.Backoff
-	for i := 1; i < n && d < m.opts.MaxBackoff; i++ {
+	for i := 1; i < n && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > m.opts.MaxBackoff {
-		d = m.opts.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	ms := d.Milliseconds()
 	if ms <= 0 {

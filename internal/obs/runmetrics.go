@@ -33,53 +33,11 @@ type RunMetrics struct {
 	RetireRateMIPS float64 `json:"retire_rate_mips"`
 
 	// ObserverSampleEvery is the attribution sampling period: one in
-	// every N instructions is individually timed per observer.
+	// every N event-batch flushes is timed per observer pass.
 	ObserverSampleEvery uint64 `json:"observer_sample_every,omitempty"`
 
 	// Observers attributes analysis cost per attached observer.
 	Observers []ObserverCost `json:"observers,omitempty"`
-
-	// Waves, present when the run was re-measured by the min-of-N-waves
-	// harness (instrep run -waves N), holds every wave's retire rate.
-	// The enclosing metrics document is the fastest wave's, so
-	// RetireRateMIPS == Waves.BestMIPS: the minimum-wall-time wave is
-	// the closest observation of the machine's true (noise-free) speed,
-	// and SpreadPct reports how noisy the measurement was.
-	Waves *WaveStats `json:"waves,omitempty"`
-}
-
-// WaveStats summarizes a min-of-N-waves re-measurement.
-type WaveStats struct {
-	// N is the number of waves run.
-	N int `json:"n"`
-	// RatesMIPS holds each wave's retire rate in run order.
-	RatesMIPS []float64 `json:"rates_mips"`
-	// BestMIPS is the fastest wave (minimum measure wall time).
-	BestMIPS float64 `json:"best_mips"`
-	// WorstMIPS is the slowest wave.
-	WorstMIPS float64 `json:"worst_mips"`
-	// SpreadPct is (best-worst)/best — the noise band the waves saw.
-	SpreadPct float64 `json:"spread_pct"`
-}
-
-// NewWaveStats builds the summary for one workload's wave rates.
-func NewWaveStats(rates []float64) *WaveStats {
-	if len(rates) == 0 {
-		return nil
-	}
-	w := &WaveStats{N: len(rates), RatesMIPS: rates, BestMIPS: rates[0], WorstMIPS: rates[0]}
-	for _, r := range rates[1:] {
-		if r > w.BestMIPS {
-			w.BestMIPS = r
-		}
-		if r < w.WorstMIPS {
-			w.WorstMIPS = r
-		}
-	}
-	if w.BestMIPS > 0 {
-		w.SpreadPct = 100 * (w.BestMIPS - w.WorstMIPS) / w.BestMIPS
-	}
-	return w
 }
 
 // SimCounters are the simulator's retirement statistics.
@@ -102,12 +60,12 @@ type ClassCount struct {
 // ObserverCost is the sampled cost attribution for one observer.
 type ObserverCost struct {
 	Name string `json:"name"`
-	// Samples is how many instructions were individually timed.
+	// Samples is how many events the timed flushes covered.
 	Samples uint64 `json:"samples"`
 	// SampledNS is the summed time of the timed calls only.
 	SampledNS int64 `json:"sampled_ns"`
-	// EstimatedNS extrapolates SampledNS over every instruction
-	// (SampledNS * sample period).
+	// EstimatedNS extrapolates SampledNS over the whole event stream
+	// (SampledNS * total events / Samples).
 	EstimatedNS int64 `json:"estimated_ns"`
 	// SharePct is this observer's share of total attributed time.
 	SharePct float64 `json:"share_pct"`
@@ -127,10 +85,6 @@ func (m *RunMetrics) FormatText() string {
 	kv := func(k string, v string) { fmt.Fprintf(&b, "  %-22s %s\n", k, v) }
 	kv("instructions retired", groupCount(m.Sim.Retired))
 	kv("retire rate", fmt.Sprintf("%.2f MIPS", m.RetireRateMIPS))
-	if w := m.Waves; w != nil {
-		kv("waves", fmt.Sprintf("best-of-%d %.2f MIPS (worst %.2f, spread %.1f%%)",
-			w.N, w.BestMIPS, w.WorstMIPS, w.SpreadPct))
-	}
 	kv("loads", groupCount(m.Sim.Loads))
 	kv("stores", groupCount(m.Sim.Stores))
 	kv("branches", fmt.Sprintf("%s (%s taken)",

@@ -24,8 +24,6 @@ type JobsConfig struct {
 	Dir string
 	// Retries bounds attempts after the first (0 = jobs.DefaultRetries).
 	Retries int
-	// Deadline bounds each attempt's wall clock (0 = none).
-	Deadline time.Duration
 	// Workers is the concurrent job executor count (0 =
 	// jobs.DefaultWorkers). The admission gate still applies: job
 	// simulations share the same slots as synchronous requests.
@@ -50,10 +48,8 @@ func (s *Server) OpenJobs(jc JobsConfig) error {
 		Checkpoints:     s.cfg.Checkpoints,
 		CheckpointEvery: jc.CheckpointEvery,
 		Retries:         jc.Retries,
-		Deadline:        jc.Deadline,
 		Workers:         jc.Workers,
 		Backoff:         jc.Backoff,
-		Registry:        s.reg,
 		Log:             s.log,
 		// The Spec carries only measurement identity; the serving
 		// process contributes its own execution shaping — the same
@@ -62,7 +58,6 @@ func (s *Server) OpenJobs(jc JobsConfig) error {
 			cfg.Timeout = runCfg.Timeout
 			cfg.WatchdogInterval = runCfg.WatchdogInterval
 			cfg.DisableTranslation = runCfg.DisableTranslation
-			cfg.ObserverSampleEvery = runCfg.ObserverSampleEvery
 			cfg.Health = runCfg.Health
 			cfg.Runs = runCfg.Runs
 		},

@@ -368,3 +368,27 @@ func TestServeDrainsJobs(t *testing.T) {
 		t.Errorf("recovered job id = %s, want %s", got.ID, doc.ID)
 	}
 }
+
+// TestJobAttemptBoundedByTimeout pins the per-attempt bound jobs get
+// from the server's RunConfig.Timeout: each attempt times out, the
+// timeout is transient so the job retries, and it ends failed with
+// the timeout in its error.
+func TestJobAttemptBoundedByTimeout(t *testing.T) {
+	cfg := Config{RunConfig: repro.Config{MeasureInstructions: 1 << 40, Timeout: time.Millisecond}}
+	s, ts := newJobsServer(t, cfg, JobsConfig{Retries: 1})
+	code, _, body := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", `{"workload":"lzw"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code=%d body=%q", code, body)
+	}
+	var doc jobs.Doc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc = pollJob(t, ts.URL, doc.ID, jobs.StateFailed)
+	if !strings.Contains(doc.Error, "retries exhausted") || !strings.Contains(doc.Error, "exceeded timeout 1ms") {
+		t.Errorf("error = %q, want retries exhausted on the 1ms timeout", doc.Error)
+	}
+	if n := s.jobs.Stats.Retried.Value(); n != 1 {
+		t.Errorf("retried = %d, want 1", n)
+	}
+}

@@ -254,6 +254,11 @@ func New(cfg Config) *Server {
 			depth = DefaultQueueDepth
 		}
 		s.gate = overload.NewGate(capacity, depth, cfg.RetryAfter)
+		if s.cfg.RunConfig.Parallel == 0 {
+			// /v1/tables/all fans out no wider than the gate admits, so
+			// its workloads never queue behind each other and shed.
+			s.cfg.RunConfig.Parallel = capacity
+		}
 		s.reg.GaugeFunc("server_queue_depth", s.gate.Queued)
 		s.reg.GaugeFunc("server_sims_inflight", s.gate.InFlight)
 	}
@@ -584,18 +589,27 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 }
 
 // rememberGood retains a complete report's canonical bytes as the
-// workload's stale fallback. Truncated partials never qualify.
-func (s *Server) rememberGood(rep *repro.Report) {
-	if rep == nil || rep.Truncated {
-		return
-	}
-	data, err := repro.CanonicalReportJSON(rep)
-	if err != nil {
+// workload's stale fallback; data, when non-nil, is those bytes
+// already encoded. Truncated partials never qualify. The server runs
+// one deterministic RunConfig, so a workload's first good copy is
+// final and later reports are not encoded again; without ServeStale
+// nothing reads the copies, so none are kept.
+func (s *Server) rememberGood(rep *repro.Report, data []byte) {
+	if !s.cfg.ServeStale || rep == nil || rep.Truncated {
 		return
 	}
 	s.staleMu.Lock()
+	defer s.staleMu.Unlock()
+	if _, ok := s.lastGood[rep.Benchmark]; ok {
+		return
+	}
+	if data == nil {
+		var err error
+		if data, err = repro.CanonicalReportJSON(rep); err != nil {
+			return
+		}
+	}
 	s.lastGood[rep.Benchmark] = data
-	s.staleMu.Unlock()
 }
 
 // staleFor returns the workload's last known-good canonical bytes.
@@ -634,7 +648,7 @@ func (s *Server) reports(r *http.Request) ([]*repro.Report, error) {
 	if name == "all" {
 		reports, err := s.runner.RunAll(r.Context(), s.cfg.RunConfig)
 		for _, rep := range reports {
-			s.rememberGood(rep)
+			s.rememberGood(rep, nil)
 		}
 		return reports, err
 	}
@@ -646,7 +660,7 @@ func (s *Server) reports(r *http.Request) ([]*repro.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.rememberGood(rep)
+	s.rememberGood(rep, nil)
 	return []*repro.Report{rep}, nil
 }
 
@@ -675,7 +689,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err, http.StatusInternalServerError)
 		return
 	}
-	s.rememberGood(rep)
+	s.rememberGood(rep, data)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
 }

@@ -315,6 +315,65 @@ func TestTablesEndpoint(t *testing.T) {
 	}
 }
 
+// TestTablesAllWithinOneSlot pins that /v1/tables/all fans out no
+// wider than the admission gate: with one simulation slot and no
+// queue, a cold request still simulates all eight workloads instead
+// of shedding its own.
+func TestTablesAllWithinOneSlot(t *testing.T) {
+	var sims atomic.Int64
+	_, ts := newTestServer(t, Config{
+		Run:               fakeRun(&sims, 20*time.Millisecond),
+		MaxConcurrentSims: 1,
+		QueueDepth:        -1,
+	})
+	resp, err := http.Get(ts.URL + "/v1/tables/all?experiment=table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Instrep-Partial") != "" {
+		t.Fatalf("tables/all: code=%d partial=%q\n%s",
+			resp.StatusCode, resp.Header.Get("X-Instrep-Partial"), body)
+	}
+	if n := sims.Load(); n != int64(len(repro.Workloads())) {
+		t.Errorf("simulations = %d, want %d", n, len(repro.Workloads()))
+	}
+	for _, name := range repro.Workloads() {
+		if !strings.Contains(string(body), name) {
+			t.Errorf("tables/all missing %s", name)
+		}
+	}
+}
+
+// TestStaleCopyKeptOnce pins that the known-good copy is stored once
+// per workload: a warm request neither re-encodes nor replaces it, and
+// a server that never serves stale keeps no copies.
+func TestStaleCopyKeptOnce(t *testing.T) {
+	var sims atomic.Int64
+	s, ts := newTestServer(t, Config{Run: fakeRun(&sims, 0), ServeStale: true})
+	code, body := get(t, ts.URL+"/v1/report/lzw")
+	if code != http.StatusOK {
+		t.Fatalf("cold: %d %s", code, body)
+	}
+	first, ok := s.staleFor("lzw")
+	if !ok || !bytes.Equal(first, body) {
+		t.Fatalf("stale copy = %q, want the served bytes", first)
+	}
+	get(t, ts.URL+"/v1/report/lzw")
+	get(t, ts.URL+"/v1/tables/all?experiment=table1")
+	second, _ := s.staleFor("lzw")
+	if &second[0] != &first[0] {
+		t.Error("a warm request replaced the stored copy")
+	}
+
+	plain, pts := newTestServer(t, Config{Run: fakeRun(&sims, 0)})
+	get(t, pts.URL+"/v1/report/lzw")
+	if _, ok := plain.staleFor("lzw"); ok {
+		t.Error("copy kept without ServeStale")
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	var sims atomic.Int64
 	_, ts := newTestServer(t, Config{Run: fakeRun(&sims, 0)})
