@@ -99,10 +99,17 @@ stress:
 
 # End-to-end smoke of the design-space sweep CLI: a tiny grid through
 # `instrep sweep`, exercising spec expansion, cell execution, and the
-# comparative CSV artifact without any test harness in the way.
+# comparative CSV artifact without any test harness in the way; then
+# the golden grid, whose CSV and JSON artifacts must match
+# testdata/golden/sweep/ byte for byte.
 sweepsmoke:
 	go run ./cmd/instrep sweep -entries 64,256 -assoc 1,4 -policy lru,fifo \
 		-bench lzw -skip 1000 -measure 20000 > /dev/null
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	go run ./cmd/instrep sweep -entries 1024,8192,65536 -assoc 1,4 -policy lru,random \
+		-skip 10000 -measure 50000 -csv $$tmp/sweep.csv -json $$tmp/sweep.json && \
+	cmp $$tmp/sweep.csv testdata/golden/sweep/sweep.csv && \
+	cmp $$tmp/sweep.json testdata/golden/sweep/sweep.json
 
 # Regenerate every table and figure of the paper.
 repro:

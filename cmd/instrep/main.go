@@ -102,8 +102,9 @@
 //	    Run a reuse-buffer design-space sweep: the cross product of the
 //	    axis lists (buffer entries, associativity, replacement policy
 //	    lru/fifo/random, workloads) expands into one simulation cell per
-//	    point, cells execute through the same result cache and
-//	    checkpoint machinery as run/serve, and the merged comparative
+//	    point, each cell runs only the census and the reuse buffer
+//	    through the same result cache and checkpoint machinery as
+//	    run/serve (under its own cache key), and the merged comparative
 //	    artifact — per-cell and cross-workload-mean hit rates — renders
 //	    as canonical CSV (stdout by default) and/or JSON. The artifact
 //	    is deterministic: repeats and any -parallel produce identical

@@ -40,7 +40,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	parallel := fs.Int("parallel", 0, "max cells simulated concurrently (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "per-cell wall-clock limit (0 = none)")
 	watchdog := fs.Duration("watchdog", 0, "abort a cell making no retire progress for this long (0 = off)")
-	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory: cells cached by prior runs or sweeps are served without simulating (\"\" = off)")
+	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory: cells cached by prior sweeps are served without simulating; full reports cached by run or serve do not match (\"\" = off)")
 	checkpointDir := fs.String("checkpoint-dir", "", "crash-resume checkpoint directory for cell simulations (\"\" = off)")
 	checkpointEvery := fs.Uint64("checkpoint-every", 0, "retired instructions between checkpoints (0 = wall-clock pacing; needs -checkpoint-dir)")
 	resume := fs.Bool("resume", false, "resume interrupted cell runs from -checkpoint-dir snapshots")

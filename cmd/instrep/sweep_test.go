@@ -163,8 +163,9 @@ func TestSweepResumeReportsRestoredCells(t *testing.T) {
 	ckptDir := t.TempDir()
 
 	// Interrupt one cell run deterministically: cancel on the first
-	// snapshot write. The config comes from sweep.Expand so the
-	// fingerprint matches what the sweep below computes.
+	// snapshot write. The config is the cell's RunConfig from
+	// sweep.Expand, so the fingerprint matches what the sweep below
+	// runs.
 	sp := &sweep.Spec{
 		Entries: []int{64}, Assoc: []int{1}, Policies: []string{"lru"},
 		Workloads: []string{"lzw"}, Skip: 1000, Measure: 600000, InputVariant: 1,
@@ -188,7 +189,7 @@ func TestSweepResumeReportsRestoredCells(t *testing.T) {
 			}
 		},
 	}}
-	runner.RunWorkload(ctx, cells[0].Workload, cells[0].Config) // truncated on purpose
+	runner.RunWorkload(ctx, cells[0].Workload, cells[0].RunConfig()) // truncated on purpose
 	if keys := store.Keys(); len(keys) != 1 {
 		t.Fatalf("interrupted run left %d snapshots, want 1", len(keys))
 	}

@@ -28,8 +28,16 @@ func main() {
 		MeasureInstructions: 2_000_000,
 	}
 
-	// The census ceiling (2000-instance buffers).
-	ceiling, err := repro.RunWorkload(context.Background(), name, base)
+	// The census ceiling (2000-instance buffers): the census runs in
+	// every pipeline, so this run switches every other observer off.
+	censusOnly := base
+	censusOnly.DisableTaint = true
+	censusOnly.DisableLocal = true
+	censusOnly.DisableFunc = true
+	censusOnly.DisableReuse = true
+	censusOnly.DisableVPred = true
+	censusOnly.DisableVProf = true
+	ceiling, err := repro.RunWorkload(context.Background(), name, censusOnly)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,6 +53,8 @@ func main() {
 			cfg.DisableTaint = true
 			cfg.DisableLocal = true
 			cfg.DisableFunc = true
+			cfg.DisableVPred = true
+			cfg.DisableVProf = true
 			r, err := repro.RunWorkload(context.Background(), name, cfg)
 			if err != nil {
 				log.Fatal(err)

@@ -29,16 +29,19 @@ type Progress struct {
 // Engine executes an expanded sweep grid through a RunFunc with
 // bounded parallelism and merges the cell reports deterministically:
 // results land by cell index, so completion order — and therefore the
-// Parallel setting — can never change a byte of the artifact.
+// Parallel setting — can never change a byte of the artifact. Each
+// cell runs at Cell.RunConfig: only the census and the reuse buffer
+// observe, because the row reads nothing else.
 type Engine struct {
 	// Run computes one cell (required).
 	Run RunFunc
 	// Parallel bounds concurrently running cells (0 = GOMAXPROCS).
 	Parallel int
-	// Shape, when set, adjusts each cell's Config before it runs —
-	// execution-shaping only (Timeout, WatchdogInterval, Progress);
-	// measurement fields are owned by the spec, and mutating them here
-	// would desynchronize the artifact's axis labels from what ran.
+	// Shape, when set, adjusts each cell's run config before it runs —
+	// execution-shaping only (Timeout, WatchdogInterval, Progress).
+	// Measurement fields are owned by the spec: a Shape that changes
+	// the config's MeasurementKey fails the cell, because the row's
+	// axis labels and ConfigKey would no longer describe what ran.
 	Shape func(*core.Config)
 	// Metrics receives the sweep_* counters (nil = obs.Default).
 	Metrics *obs.Registry
@@ -96,14 +99,19 @@ func (e *Engine) Execute(ctx context.Context, sp *Spec) (*Result, error) {
 	return res, nil
 }
 
-// runCell executes one cell under its own trace span. A report flagged
-// Truncated is demoted to a failure even when the runner returned it
-// without error: its statistics cover an unpredictable prefix of the
-// window, so folding it into the curves would poison the comparison.
+// runCell executes one cell at its RunConfig under its own trace span.
+// A report flagged Truncated is demoted to a failure even when the
+// runner returned it without error: its statistics cover an
+// unpredictable prefix of the window, so folding it into the curves
+// would poison the comparison.
 func (e *Engine) runCell(ctx context.Context, c Cell) (*core.Report, error) {
-	cfg := c.Config
+	cfg := c.RunConfig()
 	if e.Shape != nil {
+		want := cfg.MeasurementKey()
 		e.Shape(&cfg)
+		if got := cfg.MeasurementKey(); got != want {
+			return nil, fmt.Errorf("sweep: Shape changed the measurement config from %q to %q", want, got)
+		}
 	}
 	span, ctx := obs.StartSpanCtx(ctx, "sweep.cell")
 	span.SetAttr("cell", c.ID())

@@ -257,12 +257,13 @@ func TestCSVQuoting(t *testing.T) {
 }
 
 func TestShapeCannotChangeMeasurement(t *testing.T) {
-	// Shape adjusts execution fields; the artifact's ConfigKey must
-	// reflect the measurement config that actually ran, so shape-ing a
-	// timeout must not alter it.
-	var keys []string
+	// Shape adjusts execution fields; the cell must still run under
+	// its RunConfig's measurement key, with only the census and the
+	// reuse buffer observing, and the artifact must still record its
+	// full Config's key, so shape-ing a timeout alters neither.
+	var ran []core.Config
 	run := func(ctx context.Context, workload string, cfg core.Config) (*core.Report, error) {
-		keys = append(keys, cfg.MeasurementKey())
+		ran = append(ran, cfg)
 		return fakeRun(ctx, workload, cfg)
 	}
 	e := &Engine{
@@ -272,12 +273,71 @@ func TestShapeCannotChangeMeasurement(t *testing.T) {
 		Shape:    func(c *core.Config) { c.Timeout = 1e9; c.Parallel = 7 },
 	}
 	sp := &Spec{Workloads: []string{"lzw"}, Measure: 10}
+	cells, err := Expand(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := e.Execute(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 1 || keys[0] != res.Cells[0].ConfigKey {
-		t.Errorf("measurement key drifted: ran %v, artifact %q", keys, res.Cells[0].ConfigKey)
+	if len(ran) != 1 {
+		t.Fatalf("ran %d cells, want 1", len(ran))
+	}
+	cfg := ran[0]
+	if got, want := cfg.MeasurementKey(), cells[0].RunConfig().MeasurementKey(); got != want {
+		t.Errorf("measurement key drifted: ran %q, want %q", got, want)
+	}
+	if cfg.DisableReuse || !cfg.DisableTaint || !cfg.DisableLocal ||
+		!cfg.DisableFunc || !cfg.DisableVPred || !cfg.DisableVProf {
+		t.Errorf("cell ran with observer toggles %+v, want census and reuse only", cfg)
+	}
+	if got, want := res.Cells[0].ConfigKey, cells[0].Config.MeasurementKey(); got != want {
+		t.Errorf("artifact ConfigKey = %q, want the full config's %q", got, want)
+	}
+}
+
+func TestShapeChangingMeasurementFailsCell(t *testing.T) {
+	// A Shape that touches a measurement field would make the row's
+	// axis labels and ConfigKey lie about what ran: the cell fails,
+	// naming both keys, and the runner never sees it.
+	ran := 0
+	run := func(ctx context.Context, workload string, cfg core.Config) (*core.Report, error) {
+		ran++
+		return fakeRun(ctx, workload, cfg)
+	}
+	reg := obs.NewRegistry()
+	e := &Engine{
+		Run:      run,
+		Parallel: 1,
+		Metrics:  reg,
+		Shape:    func(c *core.Config) { c.ReuseEntries = 128 },
+	}
+	sp := &Spec{Entries: []int{64}, Workloads: []string{"lzw"}, Measure: 10}
+	cells, err := Expand(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Execute(context.Background(), sp)
+	if err == nil {
+		t.Fatal("Execute succeeded with a measurement-changing Shape")
+	}
+	if ran != 0 {
+		t.Errorf("runner called %d times, want 0", ran)
+	}
+	shaped := cells[0].RunConfig()
+	shaped.ReuseEntries = 128
+	c := res.Cells[0]
+	for _, key := range []string{cells[0].RunConfig().MeasurementKey(), shaped.MeasurementKey()} {
+		if !strings.Contains(c.Error, key) {
+			t.Errorf("cell error %q does not name key %q", c.Error, key)
+		}
+	}
+	if c.OK() || c.HitPctAll != 0 || c.ConfigKey != cells[0].Config.MeasurementKey() {
+		t.Errorf("failed cell row = %+v", c)
+	}
+	if got := reg.Counter("sweep_cells_failed").Value(); got != 1 {
+		t.Errorf("sweep_cells_failed = %d, want 1", got)
 	}
 }
 

@@ -21,9 +21,12 @@ type CellResult struct {
 	Skip     uint64
 	Measure  uint64
 
-	// ConfigKey is core.Config.MeasurementKey() for the cell — the
-	// canonical fragment its result-cache fingerprint hashes, so an
-	// artifact row can be traced back to the exact config that ran.
+	// ConfigKey is Cell.Config.MeasurementKey(): the full measurement
+	// config of this design point, which a standalone run of the same
+	// point is fingerprinted under, so an artifact row can be traced
+	// back to the config it measures. The cell itself ran at
+	// Cell.RunConfig, whose key differs only in the observer toggles
+	// that pruning switches off.
 	ConfigKey string
 
 	// Measured/DynTotal are the run's instruction accounting.
@@ -37,7 +40,8 @@ type CellResult struct {
 
 	Error string `json:",omitempty"`
 
-	// Report is the cell's full report, for differential tests and
+	// Report is the cell's report as run at Cell.RunConfig (the pruned
+	// observers' fields are zero), for differential tests and
 	// partial-result rendering; it never enters the artifact.
 	Report *core.Report `json:"-"`
 }
@@ -72,6 +76,23 @@ type Result struct {
 	Workloads []string
 	Cells     []CellResult
 	Aggregate []AggregateRow
+}
+
+// RunConfig is the config the engine runs a cell at: Config with
+// every observer off except the census and the reuse buffer, the two
+// that feed the four report fields newCellResult reads (Measured,
+// DynTotal and Table 10's two hit rates). Pruning changes none of
+// those fields, but it changes the observer toggles in MeasurementKey,
+// so the run's cache and checkpoint entries are its own and a pruned
+// report is never served for a full-report request.
+func (c Cell) RunConfig() core.Config {
+	cfg := c.Config
+	cfg.DisableTaint = true
+	cfg.DisableLocal = true
+	cfg.DisableFunc = true
+	cfg.DisableVPred = true
+	cfg.DisableVProf = true
+	return cfg
 }
 
 // newCellResult folds one cell's run outcome into its result row.

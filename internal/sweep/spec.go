@@ -67,7 +67,7 @@ type Spec struct {
 }
 
 // Cell is one expanded grid point: a workload plus the complete
-// measurement Config its run uses.
+// measurement Config that names it.
 type Cell struct {
 	Index    int
 	Workload string
@@ -75,7 +75,11 @@ type Cell struct {
 	Assoc    int
 	Policy   reuse.Policy
 	Window   Window
-	Config   core.Config
+	// Config is the cell's full measurement config, every observer on:
+	// the config a standalone run of this design point uses, and the
+	// one CellResult.ConfigKey records. The engine runs the cell at
+	// RunConfig, which keeps only the observers the row reads.
+	Config core.Config
 }
 
 // ID names the cell deterministically for spans, progress, and
