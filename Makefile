@@ -5,14 +5,14 @@
 all: check
 
 # Default gate: build+test, gofmt and static analysis, the race detector
-# (includes the concurrent-Progress ticker test and the resilience
+# (includes the concurrent -progress ticker test and the resilience
 # tests), an enforced coverage floor, a quick benchmark smoke run,
 # the interpreter-vs-translator differential suite under -race,
 # a bounded fuzz pass over the panic-sensitive decoders, the
 # SIGKILL/resume checkpoint loop, the durable-job crash/restart
 # chaos test, the extended chaos run against the overload-hardened
 # server, a tiny end-to-end design-space sweep through the CLI, and
-# a build of the benchmark module.
+# a build, vet and test of the benchmark module.
 check: test lint race cover benchsmoke perfbench differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke
 
 # Enforced statement-coverage floor across the whole module. The
@@ -47,9 +47,11 @@ bench:
 	done
 
 # perfbench is its own module, so the root `./...` never builds it;
-# this keeps the benchmark compiling against the API it uses.
+# this keeps the benchmark compiling against the API it uses, and its
+# tests hold the pinned invariants (instruction counts, the job
+# probe's snapshot bytes).
 perfbench:
-	cd perfbench && go build -o /dev/null ./... && go vet ./...
+	cd perfbench && go build -o /dev/null ./... && go vet ./... && go test ./...
 
 # Interpreter-vs-translator equivalence: the machine-level event-
 # stream/state differential (random programs + workload prefixes, all

@@ -145,12 +145,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"repro"
@@ -335,16 +335,14 @@ func cmdRun(ctx context.Context, args []string) error {
 		WatchdogInterval:    *watchdog,
 		DisableTranslation:  *noTranslate,
 	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if *progress {
-		// The run registry feeds the multi-workload display: when
-		// several simulations are in flight the ticker renders one
-		// segment per run from registry snapshots (the same live view
-		// the serve daemon exposes at /debug/runs).
-		runs := repro.NewRunRegistry()
-		cfg.Runs = runs
-		t := newTicker(os.Stderr, runs)
-		cfg.Progress = t.update
-		defer t.finish()
+		// The ticker reads only the run registry: the same live view
+		// the serve daemon exposes at /debug/runs.
+		cfg.Runs = repro.NewRunRegistry()
+		defer startTicker(os.Stderr, cfg.Runs)()
 	}
 
 	// The cache-aware runner is the same code path the serve daemon
@@ -525,17 +523,21 @@ func cmdServe(ctx context.Context, args []string) error {
 		defer f.Close()
 		access = slog.New(slog.NewJSONHandler(f, nil))
 	}
+	runCfg := repro.Config{
+		SkipInstructions:    *skip,
+		MeasureInstructions: *measure,
+		MaxInstances:        *instances,
+		ReuseEntries:        *reuseEntries,
+		ReuseAssoc:          *reuseAssoc,
+		InputVariant:        *variant,
+		Timeout:             *timeout,
+		WatchdogInterval:    *watchdog,
+	}
+	if err := runCfg.Validate(); err != nil {
+		return err
+	}
 	srv := reportserver.New(reportserver.Config{
-		RunConfig: repro.Config{
-			SkipInstructions:    *skip,
-			MeasureInstructions: *measure,
-			MaxInstances:        *instances,
-			ReuseEntries:        *reuseEntries,
-			ReuseAssoc:          *reuseAssoc,
-			InputVariant:        *variant,
-			Timeout:             *timeout,
-			WatchdogInterval:    *watchdog,
-		},
+		RunConfig:          runCfg,
 		Cache:              cache,
 		Checkpoints:        ckStore,
 		RequestTimeout:     *reqTimeout,
@@ -564,84 +566,70 @@ func cmdServe(ctx context.Context, args []string) error {
 	return srv.ListenAndServe(ctx, *addr)
 }
 
-// ticker renders a single-line live progress display on w. For a lone
-// run it shows phase, instructions retired, retire rate, and ETA; when
-// the run registry reports several simulations in flight (RunAll with
-// -parallel) it renders one compact segment per run instead, so
-// concurrent workloads stop overwriting each other's lines. It is safe
-// for concurrent updates.
-type ticker struct {
-	mu      sync.Mutex
-	w       *os.File
-	runs    *repro.RunRegistry // nil = per-callback rendering only
-	last    time.Time
-	started map[string]time.Time // bench/phase -> start
-	active  bool
-}
+// tickEvery is the -progress redraw period.
+const tickEvery = 200 * time.Millisecond
 
-func newTicker(w *os.File, runs *repro.RunRegistry) *ticker {
-	return &ticker{w: w, runs: runs, started: make(map[string]time.Time)}
-}
-
-func (t *ticker) update(p repro.Progress) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := p.Benchmark + "/" + p.Phase
-	start, ok := t.started[key]
-	if !ok {
-		start = time.Now()
-		t.started[key] = start
-	}
-	now := time.Now()
-	// Throttle redraws; always draw phase-final updates.
-	if !p.Final && now.Sub(t.last) < 200*time.Millisecond {
-		return
-	}
-	t.last = now
-	if t.runs != nil {
-		if snap := t.runs.Snapshot(); len(snap) > 1 {
-			var parts []string
-			for _, ri := range snap {
-				seg := fmt.Sprintf("%s %s %s", ri.Benchmark, ri.Phase, fmtMillions(ri.Retired))
-				if ri.MIPS > 0 {
-					seg += fmt.Sprintf(" %.0fMIPS", ri.MIPS)
+// startTicker renders a single-line live progress display on w,
+// redrawn every tickEvery from run-registry snapshots, until the
+// returned stop function is called; stop ends the line so later output
+// starts clean.
+func startTicker(w io.Writer, runs *repro.RunRegistry) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tk := time.NewTicker(tickEvery)
+		defer tk.Stop()
+		drawn := false
+		for {
+			select {
+			case <-quit:
+				if drawn {
+					fmt.Fprintln(w)
 				}
-				parts = append(parts, seg)
+				return
+			case <-tk.C:
+				if line := tickerLine(runs.Snapshot()); line != "" {
+					fmt.Fprintf(w, "\r\x1b[K%s", line)
+					drawn = true
+				}
 			}
-			fmt.Fprintf(t.w, "\r\x1b[K[%d running] %s", len(snap), strings.Join(parts, " | "))
-			t.active = true
-			return
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
+}
+
+// tickerLine renders one redraw ("" = nothing in flight). A lone run
+// shows its phase, the instructions retired in it, retire rate, and —
+// against the phase budget — percent done and ETA; several runs in
+// flight (RunAll with -parallel) get one compact segment each, so
+// concurrent workloads share the line.
+func tickerLine(snap []repro.RunInfo) string {
+	switch len(snap) {
+	case 0:
+		return ""
+	case 1:
+		ri := snap[0]
+		line := fmt.Sprintf("%s %s: %s insts", ri.Benchmark, ri.Phase, fmtMillions(ri.PhaseDone))
+		if ri.MIPS > 0 {
+			line += fmt.Sprintf("  %.1f MIPS", ri.MIPS)
+			if ri.PhaseTotal > 0 && ri.PhaseDone < ri.PhaseTotal {
+				eta := float64(ri.PhaseTotal-ri.PhaseDone) / (ri.MIPS * 1e6)
+				line += fmt.Sprintf("  %3.0f%%  ETA %.1fs", 100*float64(ri.PhaseDone)/float64(ri.PhaseTotal), eta)
+			}
+		}
+		return line
+	}
+	parts := make([]string, len(snap))
+	for i, ri := range snap {
+		parts[i] = fmt.Sprintf("%s %s %s", ri.Benchmark, ri.Phase, fmtMillions(ri.Retired))
+		if ri.MIPS > 0 {
+			parts[i] += fmt.Sprintf(" %.0fMIPS", ri.MIPS)
 		}
 	}
-	elapsed := now.Sub(start).Seconds()
-	// Rates over a few milliseconds are noise; wait for a real sample.
-	var rate float64
-	if elapsed >= 0.05 {
-		rate = float64(p.Done) / elapsed / 1e6
-	}
-	line := fmt.Sprintf("%s %s: %s insts", p.Benchmark, p.Phase, fmtMillions(p.Done))
-	if rate > 0 {
-		line += fmt.Sprintf("  %.1f MIPS", rate)
-	}
-	if p.Total > 0 && rate > 0 && p.Done < p.Total {
-		eta := float64(p.Total-p.Done) / (rate * 1e6)
-		line += fmt.Sprintf("  %3.0f%%  ETA %.1fs", 100*float64(p.Done)/float64(p.Total), eta)
-	}
-	if p.Final {
-		line += "  done"
-	}
-	fmt.Fprintf(t.w, "\r\x1b[K%s", line)
-	t.active = true
-}
-
-// finish terminates the ticker line so later output starts clean.
-func (t *ticker) finish() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.active {
-		fmt.Fprintln(t.w)
-		t.active = false
-	}
+	return fmt.Sprintf("[%d running] %s", len(snap), strings.Join(parts, " | "))
 }
 
 func fmtMillions(n uint64) string {

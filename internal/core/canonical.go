@@ -29,7 +29,7 @@ const MeasurementVersion = 1
 // with equal MeasurementKeys produce byte-identical canonical reports;
 // fields that only shape the run's execution (Parallel, Timeout,
 // WatchdogInterval, DisableTranslation, Checkpoint — a resumed run
-// reproduces the uninterrupted run's bytes exactly — Progress, Span)
+// reproduces the uninterrupted run's bytes exactly — Span)
 // are excluded, and fault injection is handled by refusing to cache
 // (see resultcache.Cacheable).
 func (c Config) MeasurementKey() string {

@@ -31,7 +31,7 @@ func TestMeasurementKeyExcludesExecutionFields(t *testing.T) {
 	exec.Parallel = 3
 	exec.Timeout = time.Minute
 	exec.WatchdogInterval = time.Second
-	exec.Progress = func(Progress) {}
+	exec.Runs = NewRunRegistry()
 	if base.MeasurementKey() != exec.MeasurementKey() {
 		t.Error("execution-shaping fields must not enter the measurement key")
 	}

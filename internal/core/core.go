@@ -81,8 +81,9 @@ type Config struct {
 	// run loop makes no retire progress for this long — a wedged step,
 	// a runaway observer — the run aborts with a *WatchdogError
 	// carrying a PC/phase diagnostic and a truncated partial Report.
-	// While armed, the simulator runs through a per-step checkpoint
-	// hook (a few percent slower), so leave it off for benchmarking.
+	// The watchdog reads the progress every pipeline flush already
+	// publishes (one per 256-event batch), so arming it leaves the run
+	// on the translated path at full speed.
 	WatchdogInterval time.Duration
 
 	// Faults is the deterministic fault-injection plan consulted at
@@ -112,24 +113,45 @@ type Config struct {
 
 	// Runs, when set, registers the run for live introspection while it
 	// executes: RunRegistry.Snapshot lists in-flight runs with phase,
-	// retired count, and retire rate (GET /debug/runs, CLI -progress).
+	// retired count, phase progress against its budget, and retire
+	// rate (GET /debug/runs, CLI -progress).
 	Runs *RunRegistry
-
-	// Progress, when set, receives periodic updates during the skip
-	// and measure phases. It may be called from multiple goroutines
-	// when workloads run in parallel, so implementations must be
-	// concurrency-safe.
-	Progress func(Progress)
 }
 
-// Progress is one progress-callback update.
-type Progress struct {
-	Benchmark string
-	Phase     string // "skip" or "measure"
-	Done      uint64 // instructions retired in this phase so far
-	Total     uint64 // phase budget (0 = run to completion)
-	Retired   uint64 // instructions retired since machine start
-	Final     bool   // last update for this phase
+// Size bounds Validate enforces on the measurement tables; the sweep
+// spec's entries and associativity axes share them. They sit far above
+// any real design-space study and far below an allocation that could
+// take the process down.
+const (
+	MaxTableEntries = 1 << 20 // reuse-buffer and value-predictor entries
+	MaxReuseAssoc   = 256
+)
+
+// Validate rejects a config no run can honor: table sizes outside
+// their bounds (0 selects the paper's default), negative instance
+// limits or input variants, and an unknown replacement policy. Run
+// calls it before building anything, and every entry point that
+// accepts a config from outside (CLI flags, job specs) calls it before
+// starting, so an out-of-range size is an error rather than an
+// out-of-memory crash.
+func (c Config) Validate() error {
+	switch {
+	case c.ReuseEntries < 0 || c.ReuseEntries > MaxTableEntries:
+		return fmt.Errorf("core: reuse entries %d out of range [0, %d]", c.ReuseEntries, MaxTableEntries)
+	case c.ReuseAssoc < 0 || c.ReuseAssoc > MaxReuseAssoc:
+		return fmt.Errorf("core: reuse associativity %d out of range [0, %d]", c.ReuseAssoc, MaxReuseAssoc)
+	case c.VPredEntries < 0 || c.VPredEntries > MaxTableEntries:
+		return fmt.Errorf("core: value-predictor entries %d out of range [0, %d]", c.VPredEntries, MaxTableEntries)
+	case c.MaxInstances < 0:
+		return fmt.Errorf("core: negative instance limit %d", c.MaxInstances)
+	case c.InputVariant < 0:
+		return fmt.Errorf("core: negative input variant %d", c.InputVariant)
+	case !c.ReusePolicy.Valid():
+		// Reject rather than silently fall back: a bogus policy would
+		// otherwise measure LRU under a key claiming something else.
+		return fmt.Errorf("core: invalid reuse replacement policy %v", c.ReusePolicy)
+	}
+	return nil
 }
 
 // sampleEvery is the attribution sampling period in *flushes*:
@@ -200,6 +222,10 @@ type Pipeline struct {
 
 	counting bool
 	b        batch
+
+	// st, when set, receives the retire count and next PC after every
+	// flush: the run's single progress record (nil outside Run).
+	st *runState
 
 	// Observer cost attribution: one flush in every sampleEvery is
 	// timed per observer pass (samples counts the events those flushes
@@ -393,6 +419,10 @@ func (p *Pipeline) flush() {
 			p.stages[i].ns += t.Sub(now)
 			now = t
 		}
+	}
+	if n := len(b.evs); p.st != nil && n > 0 {
+		last := &b.evs[n-1]
+		p.st.publish(last.Index+1, last.NextPC)
 	}
 	b.evs = b.evs[:0]
 	b.vers = b.vers[:0]
@@ -616,18 +646,19 @@ func (p *Pipeline) Collect(im *program.Image, name string) *Report {
 }
 
 // progressChunk is how many instructions run between run-loop
-// checkpoints: cancellation checks, watchdog progress publication,
-// and progress callbacks.
+// checkpoints: cancellation checks, checkpoint opportunities, and a
+// progress publication covering the events still buffered.
 const progressChunk = 1 << 18
 
 // runPhase executes up to max instructions (0 = to completion) in
-// chunks, checking cancellation, publishing watchdog progress, and
-// offering ck a snapshot opportunity at every chunk boundary,
-// reporting through cb when non-nil. On cancellation it returns the
+// chunks, recording the phase and its budget in st, checking
+// cancellation, publishing progress, and offering ck a snapshot
+// opportunity at every chunk boundary. Between boundaries the
+// pipeline's flushes keep st current. On cancellation it returns the
 // context's cause (the watchdog, timeout, or caller-supplied
 // cancellation error).
-func runPhase(ctx context.Context, st *runState, ck *ckState, m *cpu.Machine, max uint64, name, phase string, cb func(Progress)) (uint64, error) {
-	st.setPhase(phase)
+func runPhase(ctx context.Context, st *runState, ck *ckState, m *cpu.Machine, max uint64, phase string) (uint64, error) {
+	st.setPhase(phase, max)
 	var done uint64
 	var err error
 	for !m.Halted && err == nil && (max == 0 || done < max) {
@@ -642,6 +673,7 @@ func runPhase(ctx context.Context, st *runState, ck *ckState, m *cpu.Machine, ma
 		var n uint64
 		n, err = m.Run(chunk)
 		done += n
+		// Up to a batch of events may still be buffered unflushed.
 		st.publish(m.Count, m.PC)
 		if err == nil && !m.Halted {
 			// Snapshot only consistent state: never after a fault
@@ -650,14 +682,25 @@ func runPhase(ctx context.Context, st *runState, ck *ckState, m *cpu.Machine, ma
 			// clean finish anyway).
 			ck.atBoundary(phase, m.Count, done)
 		}
-		if cb != nil {
-			cb(Progress{Benchmark: name, Phase: phase, Done: done, Total: max, Retired: m.Count})
-		}
-	}
-	if cb != nil {
-		cb(Progress{Benchmark: name, Phase: phase, Done: done, Total: max, Retired: m.Count, Final: true})
 	}
 	return done, err
+}
+
+// newMachine builds the machine and analysis pipeline for one run: the
+// pipeline publishes into st, and the only step hook installed is the
+// fault plan's (none without one), so an ordinary run — watchdog
+// armed or not — executes on the translated path.
+func newMachine(ctx context.Context, im *program.Image, input []byte, name string, cfg Config, st *runState) (*cpu.Machine, *Pipeline) {
+	m := cpu.New(im, input)
+	m.NoTranslate = cfg.DisableTranslation
+	m.Hook = cfg.Faults.StepHook(ctx, name)
+	p := NewPipeline(im, cfg)
+	p.st = st
+	m.Attach(p)
+	if o := cfg.Faults.Observer(name); o != nil {
+		m.Attach(o)
+	}
+	return m, p
 }
 
 // Run executes a full experiment: fast-forward, attach the pipeline,
@@ -675,10 +718,8 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !cfg.ReusePolicy.Valid() {
-		// Reject rather than silently fall back: a bogus policy would
-		// otherwise measure LRU under a key claiming something else.
-		return nil, fmt.Errorf("core: invalid reuse replacement policy %v", cfg.ReusePolicy)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	root := cfg.Span
 	if root == nil {
@@ -702,18 +743,9 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	}
 
 	load := root.StartChild("load")
-	build := func() (*cpu.Machine, *Pipeline) {
-		m := cpu.New(im, input)
-		m.NoTranslate = cfg.DisableTranslation
-		m.Hook = cfg.Faults.StepHook(ctx, name)
-		p := NewPipeline(im, cfg)
-		m.Attach(p)
-		if o := cfg.Faults.Observer(name); o != nil {
-			m.Attach(o)
-		}
-		return m, p
-	}
-	m, p := build()
+	st := newRunState(name)
+	st.traceID = obs.TraceIDFrom(ctx)
+	m, p := newMachine(ctx, im, input, name, cfg, st)
 
 	// Resume before any instruction runs: restore machine and pipeline
 	// from the newest snapshot under the policy's key. A snapshot that
@@ -734,7 +766,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 				if rerr != nil {
 					sp.SetAttr("error", rerr.Error())
 					cp.Store.RejectResume(cp.Key)
-					m, p = build()
+					m, p = newMachine(ctx, im, input, name, cfg, st)
 					ck.m, ck.p = m, p
 				} else {
 					sp.SetAttr("retired", rs.retired)
@@ -754,15 +786,10 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 			}
 		}
 	}
-	st := newRunState(name)
 	if resume != nil {
 		st.publish(m.Count, m.PC)
 	}
-	st.traceID = obs.TraceIDFrom(ctx)
 	if cfg.WatchdogInterval > 0 {
-		// Fine-grained retire checkpoints so a slow chunk is not
-		// mistaken for a wedged run.
-		m.Hook = publishHook(st, m.Hook)
 		defer watch(ctx, cancel, st, cfg.WatchdogInterval)()
 	}
 	if cfg.Runs != nil {
@@ -827,7 +854,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		// nothing. A resumed run finishes the remaining budget only —
 		// max=0 would mean run-to-completion, hence the guard.
 		skip := root.StartChild("skip")
-		done, serr := runPhase(ctx, st, ck, m, remaining, name, "skip", cfg.Progress)
+		done, serr := runPhase(ctx, st, ck, m, remaining, "skip")
 		skipped += done
 		skip.End()
 		if serr != nil {
@@ -845,7 +872,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		measureMax = cfg.MeasureInstructions - measured
 	}
 	if measureMax > 0 || cfg.MeasureInstructions == 0 {
-		done, merr := runPhase(ctx, st, ck, m, measureMax, name, "measure", cfg.Progress)
+		done, merr := runPhase(ctx, st, ck, m, measureMax, "measure")
 		measured += done
 		if merr != nil {
 			return finish(merr), fmt.Errorf("core: measure: %w", merr)

@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/minic"
 	"repro/internal/workloads"
@@ -225,11 +227,9 @@ func TestRunMetricsCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var updates []core.Progress
 	cfg := core.Config{
 		SkipInstructions:    10_000,
 		MeasureInstructions: 100_000,
-		Progress:            func(p core.Progress) { updates = append(updates, p) },
 	}
 	r, err := core.Run(context.Background(), im, w.Input(1), "lzw", cfg)
 	if err != nil {
@@ -285,25 +285,87 @@ func TestRunMetricsCollected(t *testing.T) {
 	if share < 99.9 || share > 100.1 {
 		t.Errorf("observer shares sum to %.2f", share)
 	}
-	// Progress: updates for both phases, each ending with a final one.
-	byPhase := map[string][]core.Progress{}
-	for _, u := range updates {
-		byPhase[u.Phase] = append(byPhase[u.Phase], u)
+}
+
+// TestRunRegistryPhaseProgress reads the registry from inside a run: a
+// checkpoint Notify gets control synchronously at a chunk boundary,
+// where the run's progress record must show the measure phase, the
+// progress made in it, and the phase's instruction budget.
+func TestRunRegistryPhaseProgress(t *testing.T) {
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, phase := range []string{"skip", "measure"} {
-		us := byPhase[phase]
-		if len(us) == 0 {
-			t.Fatalf("no progress updates for %s", phase)
+	runs := core.NewRunRegistry()
+	cfg := checkpointTestConfig()
+	cfg.Runs = runs
+	var seen []core.RunInfo
+	cfg.Checkpoint = &core.CheckpointPolicy{
+		Store: store, Key: "12e9", Every: 1,
+		Notify: func(ev core.CheckpointEvent) {
+			if ev.Phase == "measure" {
+				seen = append(seen, runs.Snapshot()...)
+			}
+		},
+	}
+	if _, err := core.Run(context.Background(), checkpointTestImage(t), nil, "reg", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) == 0 {
+		t.Fatal("no registry snapshot taken during the measure phase")
+	}
+	for _, ri := range seen {
+		if ri.Benchmark != "reg" || ri.Phase != "measure" {
+			t.Errorf("snapshot shows %s/%s, want reg/measure", ri.Benchmark, ri.Phase)
 		}
-		last := us[len(us)-1]
-		if !last.Final {
-			t.Errorf("%s: last update not final: %+v", phase, last)
+		if ri.PhaseDone == 0 || ri.PhaseDone > ri.PhaseTotal {
+			t.Errorf("PhaseDone = %d, want in (0, %d]", ri.PhaseDone, ri.PhaseTotal)
 		}
-		if last.Done == 0 || last.Retired == 0 {
-			t.Errorf("%s: empty final update: %+v", phase, last)
+		if ri.PhaseTotal != cfg.MeasureInstructions {
+			t.Errorf("PhaseTotal = %d, want the measure budget %d", ri.PhaseTotal, cfg.MeasureInstructions)
 		}
 	}
-	if got := byPhase["measure"][len(byPhase["measure"])-1].Done; got != r.MeasuredInstructions {
-		t.Errorf("final measure Done = %d, want %d", got, r.MeasuredInstructions)
+	if left := runs.Snapshot(); len(left) != 0 {
+		t.Errorf("finished run still registered: %+v", left)
+	}
+}
+
+// TestConfigValidate pins the size bounds: each bad config is refused
+// by Validate and by Run before anything is built.
+func TestConfigValidate(t *testing.T) {
+	for _, cfg := range []core.Config{
+		{},
+		{ReuseEntries: 1, ReuseAssoc: 1, VPredEntries: 1},
+		{ReuseEntries: core.MaxTableEntries, ReuseAssoc: core.MaxReuseAssoc, VPredEntries: core.MaxTableEntries},
+		{MaxInstances: 1, InputVariant: 2},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
+	}
+	bad := []struct {
+		name string
+		cfg  core.Config
+		want string
+	}{
+		{"huge reuse", core.Config{ReuseEntries: 1 << 40}, "reuse entries"},
+		{"negative reuse", core.Config{ReuseEntries: -1}, "reuse entries"},
+		{"wide assoc", core.Config{ReuseAssoc: core.MaxReuseAssoc + 1}, "associativity"},
+		{"negative assoc", core.Config{ReuseAssoc: -4}, "associativity"},
+		{"huge vpred", core.Config{VPredEntries: core.MaxTableEntries + 1}, "value-predictor"},
+		{"negative vpred", core.Config{VPredEntries: -3}, "value-predictor"},
+		{"negative instances", core.Config{MaxInstances: -1}, "instance"},
+		{"negative variant", core.Config{InputVariant: -1}, "input variant"},
+		{"bad policy", core.Config{ReusePolicy: 99}, "policy"},
+	}
+	im := checkpointTestImage(t)
+	for _, c := range bad {
+		err := c.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error about %q", c.name, err, c.want)
+		}
+		if r, err := core.Run(context.Background(), im, nil, "bad", c.cfg); err == nil || r != nil {
+			t.Errorf("%s: Run = (%v, %v), want no report and an error", c.name, r, err)
+		}
 	}
 }

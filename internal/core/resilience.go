@@ -121,12 +121,12 @@ func recordTruncation(h *obs.HealthCounters, reason string) {
 	}
 }
 
-// runState is the progress the run loop publishes: retire count and PC
-// at the last checkpoint, plus the current phase and when it started —
-// read by the watchdog (stall detection) and by RunRegistry snapshots
-// (live introspection with a phase-relative retire rate). Checkpoints
-// come from chunk boundaries in runPhase and, when the watchdog is
-// armed, from the per-step publishing hook.
+// runState is a run's single progress record: retire count and next
+// PC as last published, plus the current phase, its instruction
+// budget, and when it started — read by the watchdog (stall detection)
+// and by RunRegistry snapshots (live introspection with phase progress
+// and a phase-relative retire rate). The pipeline publishes after every
+// event flush and runPhase at every chunk boundary.
 type runState struct {
 	benchmark string
 	traceID   string
@@ -134,10 +134,12 @@ type runState struct {
 	retired   atomic.Uint64
 	pc        atomic.Uint32
 	phase     atomic.Pointer[string]
-	// Phase-relative baseline for the live MIPS estimate: the retire
-	// count and wall clock at the last setPhase.
+	// Phase-relative baseline for the live MIPS estimate and phase
+	// progress: the retire count and wall clock at the last setPhase,
+	// and that phase's instruction budget (0 = to completion).
 	phaseStartNS atomic.Int64 // UnixNano of phase start
 	phaseBase    atomic.Uint64
+	phaseTotal   atomic.Uint64
 	// Last snapshot written (retire count and UnixNano), published by
 	// the checkpoint writer so watchdog diagnostics can say how much a
 	// resume would recover. Zero until the first write.
@@ -153,7 +155,7 @@ func (st *runState) publishCheckpoint(retired uint64) {
 
 func newRunState(benchmark string) *runState {
 	st := &runState{benchmark: benchmark, started: time.Now()}
-	st.setPhase("load")
+	st.setPhase("load", 0)
 	return st
 }
 
@@ -162,9 +164,10 @@ func (st *runState) publish(retired uint64, pc uint32) {
 	st.pc.Store(pc)
 }
 
-func (st *runState) setPhase(phase string) {
+func (st *runState) setPhase(phase string, total uint64) {
 	st.phase.Store(&phase)
 	st.phaseBase.Store(st.retired.Load())
+	st.phaseTotal.Store(total)
 	st.phaseStartNS.Store(time.Now().UnixNano())
 }
 
@@ -173,25 +176,6 @@ func (st *runState) phaseName() string {
 		return *p
 	}
 	return "?"
-}
-
-// publishEvery is the retire-count granularity of the per-step
-// watchdog checkpoint hook (a power of two; the hook masks the count).
-const publishEvery = 1024
-
-// publishHook chains a progress-publishing step hook in front of prev
-// so the watchdog sees retire progress at fine granularity even when
-// a single runPhase chunk is slow.
-func publishHook(st *runState, prev func(count uint64, pc uint32) error) func(count uint64, pc uint32) error {
-	return func(count uint64, pc uint32) error {
-		if count&(publishEvery-1) == 0 {
-			st.publish(count, pc)
-		}
-		if prev != nil {
-			return prev(count, pc)
-		}
-		return nil
-	}
 }
 
 // watch starts the deadman watchdog: when the run loop publishes no

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/minic"
@@ -72,13 +73,16 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 }
 
 func TestRunCanceledMidWindow(t *testing.T) {
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := core.Config{
-		// One chunk per progress callback: cancel after the first.
-		Progress: func(p core.Progress) {
-			if p.Done > 0 {
-				cancel()
-			}
+		// A snapshot at every chunk boundary: cancel after the first.
+		Checkpoint: &core.CheckpointPolicy{
+			Store: store, Key: "c0ffee", Every: 1,
+			Notify: func(core.CheckpointEvent) { cancel() },
 		},
 	}
 	r, err := core.Run(ctx, loopImage(t), nil, "midcancel", cfg)

@@ -4,8 +4,9 @@ package core
 // registers its runState (the same atomics the watchdog reads) when
 // Config.Runs is set, so the report server's GET /debug/runs and the
 // CLI's -progress can list what is executing right now — workload,
-// phase, retired instructions, and a phase-relative retire rate —
-// without touching the run loop's hot path. See DESIGN.md §14.
+// phase, retired instructions, progress against the phase budget, and
+// a phase-relative retire rate — without touching the run loop's hot
+// path. See DESIGN.md §14.
 
 import (
 	"sort"
@@ -15,15 +16,19 @@ import (
 
 // RunInfo is one in-flight run as seen by a RunRegistry snapshot.
 type RunInfo struct {
-	ID        uint64  `json:"id"`
-	Benchmark string  `json:"benchmark"`
-	TraceID   string  `json:"trace_id,omitempty"`
-	Phase     string  `json:"phase"`
-	Retired   uint64  `json:"retired"`
-	PC        uint32  `json:"pc"`
-	ElapsedNS int64   `json:"elapsed_ns"`
-	Elapsed   string  `json:"elapsed"`
-	MIPS      float64 `json:"mips"` // retire rate over the current phase
+	ID        uint64 `json:"id"`
+	Benchmark string `json:"benchmark"`
+	TraceID   string `json:"trace_id,omitempty"`
+	Phase     string `json:"phase"`
+	Retired   uint64 `json:"retired"`
+	PC        uint32 `json:"pc"`
+	// PhaseDone is instructions retired in the current phase so far;
+	// PhaseTotal is the phase's budget (0 = run to completion).
+	PhaseDone  uint64  `json:"phase_done"`
+	PhaseTotal uint64  `json:"phase_total"`
+	ElapsedNS  int64   `json:"elapsed_ns"`
+	Elapsed    string  `json:"elapsed"`
+	MIPS       float64 `json:"mips"` // retire rate over the current phase
 }
 
 // RunRegistry tracks in-flight runs. Safe for concurrent use; the zero
@@ -59,20 +64,9 @@ func (r *RunRegistry) remove(id uint64) {
 	r.mu.Unlock()
 }
 
-// Len returns how many runs are in flight.
-func (r *RunRegistry) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.runs)
-}
-
 // Snapshot lists the in-flight runs, oldest first (registration
 // order). The retire counts and MIPS are read from the runs' published
-// checkpoints, so they trail the simulator by at most one progress
-// chunk.
+// progress, so they trail the simulator by at most one event batch.
 func (r *RunRegistry) Snapshot() []RunInfo {
 	if r == nil {
 		return nil
@@ -84,17 +78,23 @@ func (r *RunRegistry) Snapshot() []RunInfo {
 		retired := st.retired.Load()
 		elapsed := now.Sub(st.started)
 		info := RunInfo{
-			ID:        id,
-			Benchmark: st.benchmark,
-			TraceID:   st.traceID,
-			Phase:     st.phaseName(),
-			Retired:   retired,
-			PC:        st.pc.Load(),
-			ElapsedNS: elapsed.Nanoseconds(),
-			Elapsed:   elapsed.Round(time.Millisecond).String(),
+			ID:         id,
+			Benchmark:  st.benchmark,
+			TraceID:    st.traceID,
+			Phase:      st.phaseName(),
+			Retired:    retired,
+			PC:         st.pc.Load(),
+			PhaseTotal: st.phaseTotal.Load(),
+			ElapsedNS:  elapsed.Nanoseconds(),
+			Elapsed:    elapsed.Round(time.Millisecond).String(),
+		}
+		// A snapshot racing setPhase can read the new phase's base
+		// after the old retire count: clamp rather than underflow.
+		if base := st.phaseBase.Load(); retired > base {
+			info.PhaseDone = retired - base
 		}
 		if phaseSecs := float64(now.UnixNano()-st.phaseStartNS.Load()) / 1e9; phaseSecs > 0 {
-			info.MIPS = float64(retired-st.phaseBase.Load()) / phaseSecs / 1e6
+			info.MIPS = float64(info.PhaseDone) / phaseSecs / 1e6
 		}
 		out = append(out, info)
 	}

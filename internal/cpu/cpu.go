@@ -91,9 +91,9 @@ type EventSink interface {
 
 // StepHook intercepts the run loop before each step with the current
 // retire count and PC; a non-nil error aborts Run with that error.
-// Installed via Machine.Hook — used by the watchdog progress publisher
-// and the fault-injection harness. When no hook is installed the run
-// loop pays nothing for the feature.
+// Installed via Machine.Hook — used only by the fault-injection
+// harness. When no hook is installed the run loop pays nothing for the
+// feature.
 type StepHook func(count uint64, pc uint32) error
 
 // MaxTrackedArgs bounds how many argument values a CallEvent carries.
@@ -168,9 +168,10 @@ type Machine struct {
 
 	// Hook, when non-nil, runs before every step (see StepHook). Run
 	// switches to a hooked loop so the common path stays unchanged.
-	// A hooked machine always executes through the Step interpreter:
+	// A hooked machine always executes through the Step interpreter —
 	// the hook contract is "called before every instruction", which the
-	// block-translated path does not honor.
+	// block-translated path does not honor — so installing one gives up
+	// the translation cache for the whole run.
 	Hook StepHook
 
 	// NoTranslate forces the Step interpreter even when no Hook is
@@ -215,16 +216,6 @@ func (m *Machine) Attach(o Observer) {
 		m.sink = nil
 	}
 }
-
-// DetachAll removes every observer.
-func (m *Machine) DetachAll() {
-	m.observers = nil
-	m.callObservers = nil
-	m.sink = nil
-}
-
-// InputRemaining returns the number of unread input bytes.
-func (m *Machine) InputRemaining() int { return len(m.input) - m.inPos }
 
 // Run executes at most max instructions (all remaining if max == 0),
 // returning the number retired. It stops early when the program exits

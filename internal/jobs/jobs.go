@@ -103,8 +103,9 @@ func SpecFromConfig(workload string, cfg core.Config) Spec {
 }
 
 // Config converts the spec back into a measurement Config. It fails on
-// an unknown replacement policy; workload existence is checked by
-// Validate.
+// an unknown replacement policy and on anything core.Config.Validate
+// refuses (out-of-range table sizes, negative limits); workload
+// existence is checked by Validate.
 func (s Spec) Config() (core.Config, error) {
 	cfg := core.Config{
 		SkipInstructions:    s.Skip,
@@ -128,7 +129,7 @@ func (s Spec) Config() (core.Config, error) {
 		}
 		cfg.ReusePolicy = p
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // Validate checks the spec and returns its job ID — the result-cache

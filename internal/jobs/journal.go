@@ -30,6 +30,9 @@ import (
 // truncates the file back to the last good frame. Appends are fsynced
 // so an acknowledged transition survives the process; compaction
 // rewrites the file via create-temp+rename so it is all-or-nothing.
+// Compaction happens only at open: while a daemon runs, the file grows
+// with every transition, and the next startup collapses it to the last
+// record per job.
 const (
 	journalMagic   = "IJOB"
 	journalVersion = 1
@@ -134,25 +137,8 @@ func (j *Journal) Append(rec Record) error {
 	return nil
 }
 
-// Compact rewrites the journal to hold exactly the given records,
-// atomically (temp+rename). The Manager calls it when terminal jobs
-// pile up; OpenJournal calls it to collapse replay history.
-func (j *Journal) Compact(live []Record) error {
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
-	}
-	if err := j.compactLocked(live); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: %w", err)
-	}
-	j.f = f
-	return nil
-}
-
+// compactLocked rewrites the journal to hold exactly the given
+// records, atomically (temp+rename). OpenJournal is its only caller.
 func (j *Journal) compactLocked(live []Record) error {
 	tmp, err := os.CreateTemp(j.dir, journalName+"-*"+tmpSuffix)
 	if err != nil {

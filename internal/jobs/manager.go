@@ -508,7 +508,8 @@ func (m *Manager) runJob(j *job) {
 
 	cfg, err := rec.Spec.Config()
 	if err != nil {
-		// Can't happen past Submit's validation; classify as permanent.
+		// Submit validates every spec, so only a record replayed from a
+		// journal written before a check existed gets here: permanent.
 		m.complete(j, &minic.Error{Msg: err.Error()})
 		return
 	}

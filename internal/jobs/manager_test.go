@@ -480,6 +480,60 @@ func TestSpecConfigRoundTrip(t *testing.T) {
 	}
 }
 
+// outOfRangeSpecs are job specs whose sizes no run can honor: one
+// would allocate the process out of memory, the other panic in make.
+func outOfRangeSpecs() []Spec {
+	huge := Spec{Workload: "lzw", Skip: 1000, Measure: 1000, ReuseEntries: 1 << 40}
+	negative := Spec{Workload: "lzw", Skip: 1000, Measure: 1000, VPredEntries: -3}
+	return []Spec{huge, negative}
+}
+
+func TestSpecValidateRejectsOutOfRangeSizes(t *testing.T) {
+	for _, spec := range outOfRangeSpecs() {
+		if _, err := spec.Validate(); err == nil {
+			t.Errorf("%+v validated", spec)
+		}
+	}
+}
+
+// TestReplayedOutOfRangeSpecFailsPermanently: a record journaled
+// before the size check existed is replayed at startup; its attempt
+// fails once, with no retries, and never reaches the runner.
+func TestReplayedOutOfRangeSpecFailsPermanently(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{strings.Repeat("a", 64), strings.Repeat("b", 64)}
+	for i, spec := range outOfRangeSpecs() {
+		rec := Record{ID: ids[i], Seq: uint64(i + 1), Spec: spec, State: StateQueued}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	var runs atomic.Int64
+	m := openManager(t, dir, Options{
+		Runner: fakeRunner(func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+			runs.Add(1)
+			return &repro.Report{}, nil
+		}),
+	})
+	defer m.Drain()
+	m.Start()
+	for _, id := range ids {
+		doc := waitState(t, m, id, StateFailed)
+		if doc.Retries != 0 || !strings.Contains(doc.Error, "out of range") {
+			t.Errorf("replayed job = %+v, want a permanent range failure", doc)
+		}
+	}
+	if runs.Load() != 0 {
+		t.Errorf("runner called %d times for invalid specs", runs.Load())
+	}
+}
+
 func TestManagerLogsLifecycle(t *testing.T) {
 	var buf bytes.Buffer
 	logMu := slog.New(slog.NewTextHandler(&buf, nil))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -229,6 +230,30 @@ func TestJobErrors(t *testing.T) {
 	}
 	if code, _, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+doc.ID, ""); code != http.StatusConflict {
 		t.Errorf("cancel terminal: code=%d", code)
+	}
+}
+
+// TestJobSubmitRejectsOutOfRangeSizes: a spec whose sizes no run can
+// honor answers 400 and journals nothing, so no worker — and no
+// restart replaying the journal — ever tries to build it.
+func TestJobSubmitRejectsOutOfRangeSizes(t *testing.T) {
+	run := func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+		t.Errorf("runner called for %s", name)
+		return nil, errors.New("unreachable")
+	}
+	s, ts := newJobsServer(t, Config{Run: run}, JobsConfig{})
+	for _, spec := range []string{
+		`{"workload":"lzw","vpred_entries":-3}`,
+		`{"workload":"lzw","skip":1000,"measure":1000,"reuse_entries":1099511627776}`,
+	} {
+		if code, _, body := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec); code != http.StatusBadRequest || !strings.Contains(string(body), "out of range") {
+			t.Errorf("%s: code=%d body=%q, want 400", spec, code, body)
+		}
+	}
+	for _, v := range s.jobs.StatValues() {
+		if v.Name == "journal_appends" && v.Value != 0 {
+			t.Errorf("out-of-range specs were journaled: %d appends", v.Value)
+		}
 	}
 }
 

@@ -128,7 +128,7 @@ func TestFingerprintNormalization(t *testing.T) {
 	exec.Parallel = 7
 	exec.Timeout = time.Minute
 	exec.WatchdogInterval = time.Second
-	exec.Progress = func(core.Progress) {}
+	exec.Runs = core.NewRunRegistry()
 	if Fingerprint("w", "s", zero) != Fingerprint("w", "s", exec) {
 		t.Error("execution-only fields must not change the fingerprint")
 	}

@@ -38,7 +38,7 @@ type Engine struct {
 	// Parallel bounds concurrently running cells (0 = GOMAXPROCS).
 	Parallel int
 	// Shape, when set, adjusts each cell's run config before it runs —
-	// execution-shaping only (Timeout, WatchdogInterval, Progress).
+	// execution-shaping only (Timeout, WatchdogInterval, Runs).
 	// Measurement fields are owned by the spec: a Shape that changes
 	// the config's MeasurementKey fails the cell, because the row's
 	// axis labels and ConfigKey would no longer describe what ran.

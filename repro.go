@@ -52,9 +52,6 @@ type Config = core.Config
 // Report holds every measurement of the paper for one benchmark run.
 type Report = core.Report
 
-// Progress is one progress-callback update (see Config.Progress).
-type Progress = core.Progress
-
 // RunMetrics is the per-run observability document (phase wall times,
 // simulator counters, retire rate, per-observer attributed cost)
 // attached to every Report.
