@@ -58,7 +58,7 @@ perfbench:
 # three dispatch paths) and the pipeline-level canonical-report
 # differential, under the race detector.
 differential:
-	go test -race -count=1 -run Differential ./internal/cpu .
+	go test -race -count=1 -run Differential ./internal/cpu ./internal/core .
 
 # One-iteration smoke of the throughput benchmarks (fast enough for
 # the default check gate).

@@ -170,12 +170,13 @@ func (p *Pipeline) snapshotParts() []snapshotPart {
 }
 
 // snapshotTo writes every pipeline observer after flushing the event
-// batch. Presence flags guard each optional observer so a snapshot
-// taken under one analysis config can never restore into another
-// (the checkpoint key should already rule that out; this is the
-// belt to its suspenders).
+// batch and draining the helper. Presence flags guard each optional
+// observer so a snapshot taken under one analysis config can never
+// restore into another (the checkpoint key should already rule that
+// out; this is the belt to its suspenders).
 func (p *Pipeline) snapshotTo(w *checkpoint.Writer) {
 	p.flush()
+	p.drain()
 	p.Rep.SnapshotTo(w)
 	for _, pt := range p.snapshotParts() {
 		w.Bool(pt.present)

@@ -9,6 +9,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -146,6 +147,35 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 				t.Errorf("snapshot survived a clean finish: %v", keys)
 			}
 		})
+	}
+}
+
+// TestResumedRetireRateCountsOnlyThisProcess: a run resumed from a
+// measure-phase snapshot spends its measure wall time on the part of
+// the window left after the snapshot, so its retire rate divides only
+// those instructions, not the whole window.
+func TestResumedRetireRateCountsOnlyThisProcess(t *testing.T) {
+	im := checkpointTestImage(t)
+	rep, _ := interruptAndResume(t, im, "measure")
+	cfg := checkpointTestConfig()
+	measure := rep.Metrics.Phases.Find("measure")
+	if measure == nil || measure.WallNS <= 0 {
+		t.Fatalf("resumed run has no measure phase: %+v", rep.Metrics.Phases)
+	}
+	restore := rep.Metrics.Phases.Find("checkpoint.restore")
+	if restore == nil {
+		t.Fatal("resumed run has no checkpoint.restore phase")
+	}
+	// A measure-phase snapshot comes after the whole skip budget.
+	resumedMeasured := restore.Attrs["retired"].(uint64) - cfg.SkipInstructions
+	if rep.MeasuredInstructions != cfg.MeasureInstructions {
+		t.Fatalf("resumed run measured %d, want %d", rep.MeasuredInstructions, cfg.MeasureInstructions)
+	}
+	secs := float64(measure.WallNS) / 1e9
+	want := float64(cfg.MeasureInstructions-resumedMeasured) / secs / 1e6
+	if got := rep.Metrics.RetireRateMIPS; math.Abs(got-want) > 1e-6*want {
+		t.Errorf("RetireRateMIPS = %.3f, want %.3f: only the %d instructions measured after the resume took this measure span",
+			got, want, cfg.MeasureInstructions-resumedMeasured)
 	}
 }
 

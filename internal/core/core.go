@@ -187,6 +187,30 @@ type batch struct {
 	calls []cpu.CallEvent
 	rets  []cpu.RetEvent
 	kinds []uint8
+	timed bool // this flush is one of the sampled, per-stage timed ones
+}
+
+// reserve gives b its full-capacity buffers, the call and return
+// buffers only when the pipeline consumes calls.
+func (b *batch) reserve(calls bool) {
+	if b.evs == nil {
+		b.evs = make([]cpu.Event, 0, batchSize)
+		b.vers = make([]bool, 0, batchSize)
+		b.kinds = make([]uint8, 0, batchSize)
+	}
+	if calls && b.calls == nil {
+		b.calls = make([]cpu.CallEvent, 0, batchSize)
+		b.rets = make([]cpu.RetEvent, 0, batchSize)
+	}
+}
+
+// reset empties b, keeping its buffers.
+func (b *batch) reset() {
+	b.evs = b.evs[:0]
+	b.vers = b.vers[:0]
+	b.calls = b.calls[:0]
+	b.rets = b.rets[:0]
+	b.kinds = b.kinds[:0]
 }
 
 // stage is one named observer pass of the batched pipeline; the name
@@ -211,6 +235,16 @@ type stage struct {
 // batch fills, when the counting window toggles (so every buffered
 // event is observed under the window state it retired in), and at
 // collection.
+//
+// Under Run, when a core is free, the stages after the census run on
+// a helper goroutine (helper.go): a flush classifies the batch,
+// publishes progress and hands the batch over a ring of ringDepth
+// batches. Each observer always runs on the same goroutine in the
+// same order, so the bytes do not change. The ring drains before the
+// counting window toggles, before a snapshot and before a phase span
+// ends; Collect stops the helper. A pipeline built with NewPipeline
+// and driven directly stays synchronous, so the per-layer costs
+// measured on it remain serial costs.
 type Pipeline struct {
 	Rep   *repetition.Tracker
 	Taint *taint.Analysis
@@ -226,6 +260,9 @@ type Pipeline struct {
 	// st, when set, receives the retire count and next PC after every
 	// flush: the run's single progress record (nil outside Run).
 	st *runState
+
+	// h is the helper running the stages, nil when they run inline.
+	h *helper
 
 	// Observer cost attribution: one flush in every sampleEvery is
 	// timed per observer pass (samples counts the events those flushes
@@ -246,6 +283,7 @@ type Pipeline struct {
 // skip-then-measure methodology.
 func (p *Pipeline) SetCounting(on bool) {
 	p.flush() // buffered events observe under the window they retired in
+	p.drain()
 	p.counting = on
 	if p.Taint != nil {
 		p.Taint.Counting = on
@@ -267,11 +305,6 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 	if cfg.MaxInstances > 0 {
 		p.Rep.MaxInstances = cfg.MaxInstances
 	}
-	p.b.evs = make([]cpu.Event, 0, batchSize)
-	p.b.vers = make([]bool, 0, batchSize)
-	p.b.calls = make([]cpu.CallEvent, 0, batchSize)
-	p.b.rets = make([]cpu.RetEvent, 0, batchSize)
-	p.b.kinds = make([]uint8, 0, batchSize)
 	add := func(name string, run func(*batch)) {
 		p.stages = append(p.stages, stage{name: name, run: run})
 	}
@@ -357,7 +390,15 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 			}
 		})
 	}
+	p.b.reserve(p.WantsCalls())
 	return p
+}
+
+// WantsCalls reports whether the pipeline consumes call and return
+// events: only the local and function analyses do. The machine emits
+// none to a pipeline that declines them.
+func (p *Pipeline) WantsCalls() bool {
+	return p.Local != nil || p.Funcs != nil
 }
 
 // NextSlot implements cpu.EventSink: the machine builds the next
@@ -388,17 +429,18 @@ func (p *Pipeline) OnInst(ev *cpu.Event) {
 
 // flush runs every enabled analysis over the buffered batch, in the
 // order the per-event dispatch used: the census pass first (producing
-// the verdict for each instruction), then each stage.
+// the verdict for each instruction), then each stage — inline, or on
+// the helper when the pipeline has one.
 func (p *Pipeline) flush() {
 	b := &p.b
 	if len(b.kinds) == 0 {
 		return
 	}
-	timed := p.flushes%sampleEvery == 0
+	b.timed = p.flushes%sampleEvery == 0
 	p.flushes++
 	p.totalEvs += uint64(len(b.evs))
 	var now time.Time
-	if timed {
+	if b.timed {
 		p.samples += uint64(len(b.evs))
 		now = time.Now()
 	}
@@ -407,28 +449,36 @@ func (p *Pipeline) flush() {
 			b.vers[i] = p.Rep.Observe(&b.evs[i])
 		}
 	}
-	if timed {
-		t := time.Now()
-		p.repNS += t.Sub(now)
-		now = t
-	}
-	for i := range p.stages {
-		p.stages[i].run(b)
-		if timed {
-			t := time.Now()
-			p.stages[i].ns += t.Sub(now)
-			now = t
-		}
+	if b.timed {
+		p.repNS += time.Since(now)
 	}
 	if n := len(b.evs); p.st != nil && n > 0 {
 		last := &b.evs[n-1]
 		p.st.publish(last.Index+1, last.NextPC)
 	}
-	b.evs = b.evs[:0]
-	b.vers = b.vers[:0]
-	b.calls = b.calls[:0]
-	b.rets = b.rets[:0]
-	b.kinds = b.kinds[:0]
+	if p.h != nil {
+		p.handoff()
+		return
+	}
+	p.runStages(b)
+	b.reset()
+}
+
+// runStages runs every stage over a classified batch, timing each pass
+// when the batch is a sampled one.
+func (p *Pipeline) runStages(b *batch) {
+	var now time.Time
+	if b.timed {
+		now = time.Now()
+	}
+	for i := range p.stages {
+		p.stages[i].run(b)
+		if b.timed {
+			t := time.Now()
+			p.stages[i].ns += t.Sub(now)
+			now = t
+		}
+	}
 }
 
 // ObserverCosts reports the per-observer pass times, extrapolated
@@ -460,13 +510,11 @@ func (p *Pipeline) ObserverCosts() []obs.ObserverCost {
 	return out
 }
 
-// OnCall implements cpu.CallObserver: the call is buffered in event
-// order (the CallEvent already carries the argument values read at
-// call time, so deferring its observation cannot change them).
+// OnCall implements cpu.CallObserver: the call is copied into the
+// batch in event order (the CallEvent already carries the argument
+// values read at call time, so deferring its observation cannot
+// change them). The machine only calls it when WantsCalls.
 func (p *Pipeline) OnCall(ev *cpu.CallEvent) {
-	if p.Local == nil && p.Funcs == nil {
-		return
-	}
 	p.b.calls = append(p.b.calls, *ev)
 	p.b.kinds = append(p.b.kinds, itemCall)
 	if len(p.b.kinds) >= batchSize {
@@ -476,9 +524,6 @@ func (p *Pipeline) OnCall(ev *cpu.CallEvent) {
 
 // OnReturn implements cpu.CallObserver.
 func (p *Pipeline) OnReturn(ev *cpu.RetEvent) {
-	if p.Local == nil && p.Funcs == nil {
-		return
-	}
 	p.b.rets = append(p.b.rets, *ev)
 	p.b.kinds = append(p.b.kinds, itemRet)
 	if len(p.b.kinds) >= batchSize {
@@ -587,9 +632,11 @@ type Report struct {
 	Metrics *obs.RunMetrics `json:"RunMetrics,omitempty"`
 }
 
-// Collect gathers the report after a run.
+// Collect gathers the report after a run, stopping the helper first.
 func (p *Pipeline) Collect(im *program.Image, name string) *Report {
 	p.flush() // observe any tail shorter than a full batch
+	p.drain()
+	p.stopHelper()
 	r := &Report{
 		Benchmark:   name,
 		Fig1Targets: CoverageTargets,
@@ -689,7 +736,9 @@ func runPhase(ctx context.Context, st *runState, ck *ckState, m *cpu.Machine, ma
 // newMachine builds the machine and analysis pipeline for one run: the
 // pipeline publishes into st, and the only step hook installed is the
 // fault plan's (none without one), so an ordinary run — watchdog
-// armed or not — executes on the translated path.
+// armed or not — executes on the translated path. The pipeline gets a
+// helper goroutine when a core is free; the caller must stop it
+// (Collect or stopHelper).
 func newMachine(ctx context.Context, im *program.Image, input []byte, name string, cfg Config, st *runState) (*cpu.Machine, *Pipeline) {
 	m := cpu.New(im, input)
 	m.NoTranslate = cfg.DisableTranslation
@@ -699,6 +748,10 @@ func newMachine(ctx context.Context, im *program.Image, input []byte, name strin
 	m.Attach(p)
 	if o := cfg.Faults.Observer(name); o != nil {
 		m.Attach(o)
+	}
+	p.startHelper()
+	if testHookPipeline != nil {
+		testHookPipeline(p)
 	}
 	return m, p
 }
@@ -742,10 +795,14 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		defer cancelTimeout()
 	}
 
+	busySims.Add(1)
+	defer busySims.Add(-1)
 	load := root.StartChild("load")
 	st := newRunState(name)
 	st.traceID = obs.TraceIDFrom(ctx)
 	m, p := newMachine(ctx, im, input, name, cfg, st)
+	// Runs last: every exit, panics included, retires the helper.
+	defer func() { p.stopHelper() }()
 
 	// Resume before any instruction runs: restore machine and pipeline
 	// from the newest snapshot under the policy's key. A snapshot that
@@ -766,6 +823,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 				if rerr != nil {
 					sp.SetAttr("error", rerr.Error())
 					cp.Store.RejectResume(cp.Key)
+					p.stopHelper()
 					m, p = newMachine(ctx, im, input, name, cfg, st)
 					ck.m, ck.p = m, p
 				} else {
@@ -800,9 +858,12 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	}
 	load.End()
 
-	var skipped, measured uint64
+	// resumedMeasured is the part of measured a previous process
+	// measured: it took none of this run's measure wall time.
+	var skipped, measured, resumedMeasured uint64
 	if resume != nil {
 		skipped, measured = resume.skipped, resume.measured
+		resumedMeasured = measured
 	}
 	var measure *obs.Span
 
@@ -811,6 +872,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	// measured so far and the report travels alongside the error.
 	finish := func(runErr error) *Report {
 		if measure != nil {
+			p.drain() // the helper's share of the window is measure time
 			measure.End()
 		}
 		collect := root.StartChild("collect")
@@ -825,7 +887,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		if measure != nil {
 			measureWall = measure.Duration()
 		}
-		r.Metrics = runMetrics(root, m, p, name, measured, measureWall)
+		r.Metrics = runMetrics(root, m, p, name, measured-resumedMeasured, measureWall)
 		r.Metrics.TraceID = st.traceID
 		if runErr != nil {
 			r.Truncated = true
@@ -841,7 +903,12 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	// assembled when the pipeline state allows it.
 	defer func() {
 		if pv := recover(); pv != nil {
-			perr := NewPanicError(name, pv)
+			var perr *PanicError
+			if hp, ok := pv.(*helperPanic); ok {
+				perr = &PanicError{Benchmark: name, Value: hp.value, Stack: hp.stack}
+			} else {
+				perr = NewPanicError(name, pv)
+			}
 			health.PanicsRecovered.Inc()
 			rep, err = safeFinish(finish, perr), perr
 		}
@@ -856,6 +923,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		skip := root.StartChild("skip")
 		done, serr := runPhase(ctx, st, ck, m, remaining, "skip")
 		skipped += done
+		p.drain()
 		skip.End()
 		if serr != nil {
 			return finish(serr), fmt.Errorf("core: warmup: %w", serr)
@@ -914,7 +982,9 @@ func safeFinish(finish func(error) *Report, perr error) (rep *Report) {
 	return finish(perr)
 }
 
-// runMetrics assembles the observability document for one run.
+// runMetrics assembles the observability document for one run;
+// measured counts only the instructions this process measured, during
+// measureWall.
 func runMetrics(root *obs.Span, m *cpu.Machine, p *Pipeline, name string, measured uint64, measureWall time.Duration) *obs.RunMetrics {
 	rm := &obs.RunMetrics{
 		Benchmark:           name,

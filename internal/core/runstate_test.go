@@ -32,7 +32,8 @@ int main() {
 // one event batch of the machine.
 func TestFlushPublishesProgress(t *testing.T) {
 	st := newRunState("flush")
-	m, _ := newMachine(context.Background(), loopProgram(t), nil, "flush", Config{}, st)
+	m, p := newMachine(context.Background(), loopProgram(t), nil, "flush", Config{}, st)
+	defer p.stopHelper()
 	if m.Hook != nil {
 		t.Fatal("a plain run installed a step hook")
 	}
@@ -53,8 +54,23 @@ func TestFlushPublishesProgress(t *testing.T) {
 // plan brings in the hooked interpreter.
 func TestWatchdogKeepsTranslation(t *testing.T) {
 	cfg := Config{WatchdogInterval: time.Second}
-	m, _ := newMachine(context.Background(), loopProgram(t), nil, "wd", cfg, newRunState("wd"))
+	m, p := newMachine(context.Background(), loopProgram(t), nil, "wd", cfg, newRunState("wd"))
+	defer p.stopHelper()
 	if m.Hook != nil {
 		t.Error("watchdog-armed run installed a step hook")
+	}
+}
+
+// TestPipelineDeclinesCallsWithoutCallAnalyses: only the local and
+// function analyses read call and return events, so a pipeline with
+// neither (a sweep cell's) declines them and carries no call buffers.
+func TestPipelineDeclinesCallsWithoutCallAnalyses(t *testing.T) {
+	im := loopProgram(t)
+	for _, cfg := range []Config{{}, {DisableLocal: true}, {DisableFunc: true}, {DisableLocal: true, DisableFunc: true}} {
+		p := NewPipeline(im, cfg)
+		want := !cfg.DisableLocal || !cfg.DisableFunc
+		if p.WantsCalls() != want || (p.b.calls != nil) != want {
+			t.Errorf("%+v: WantsCalls=%v, call buffer allocated=%v; want %v", cfg, p.WantsCalls(), p.b.calls != nil, want)
+		}
 	}
 }

@@ -122,9 +122,21 @@ type RetEvent struct {
 }
 
 // CallObserver receives call/return events in addition to instructions.
+// The event pointer is valid only for the duration of the call: the
+// machine reuses one CallEvent and one RetEvent for every call and
+// return, so an observer that needs an event afterwards must copy it,
+// never keep the pointer.
 type CallObserver interface {
 	OnCall(ev *CallEvent)
 	OnReturn(ev *RetEvent)
+}
+
+// callFilter is implemented by a CallObserver whose interest in
+// call/return events is fixed when it is attached: WantsCalls false
+// makes Attach register it for instructions only, so the machine
+// builds no call or return events for it.
+type callFilter interface {
+	WantsCalls() bool
 }
 
 // Counters aggregates retirement statistics the simulator maintains
@@ -183,6 +195,8 @@ type Machine struct {
 	callObservers []CallObserver
 	sink          EventSink // non-nil iff the single observer is an EventSink
 	ev            Event
+	ce            CallEvent // reused by every call (see CallObserver)
+	re            RetEvent  // reused by every return
 	trans         *transTable
 }
 
@@ -202,11 +216,14 @@ func New(im *program.Image, input []byte) *Machine {
 }
 
 // Attach registers an observer; if it also implements CallObserver it
-// receives call/return events.
+// receives call/return events, unless it declines them through a
+// WantsCalls method reporting false.
 func (m *Machine) Attach(o Observer) {
 	m.observers = append(m.observers, o)
 	if co, ok := o.(CallObserver); ok {
-		m.callObservers = append(m.callObservers, co)
+		if f, ok := o.(callFilter); !ok || f.WantsCalls() {
+			m.callObservers = append(m.callObservers, co)
+		}
 	}
 	// The slot protocol requires a single observer: with several, each
 	// must see the event, so the machine builds it in its own buffer.
@@ -343,7 +360,8 @@ func (m *Machine) emitCallEvents(ev *Event) {
 // lookup; FuncByEntry is a pure function of the immutable image, so
 // the pre-resolved value is identical to the per-call lookup.
 func (m *Machine) emitCall(ev *Event, callee *program.Func) {
-	ce := CallEvent{
+	ce := &m.ce
+	*ce = CallEvent{
 		Index:   ev.Index,
 		PC:      ev.PC,
 		Target:  ev.NextPC,
@@ -365,15 +383,15 @@ func (m *Machine) emitCall(ev *Event, callee *program.Func) {
 		}
 	}
 	for _, o := range m.callObservers {
-		o.OnCall(&ce)
+		o.OnCall(ce)
 	}
 }
 
 // emitRet delivers the return event for a retired JR $ra.
 func (m *Machine) emitRet(ev *Event) {
-	re := RetEvent{Index: ev.Index, PC: ev.PC, Target: ev.NextPC}
+	m.re = RetEvent{Index: ev.Index, PC: ev.PC, Target: ev.NextPC}
 	for _, o := range m.callObservers {
-		o.OnReturn(&re)
+		o.OnReturn(&m.re)
 	}
 }
 

@@ -315,6 +315,75 @@ func (r *recorder) OnInst(ev *cpu.Event)      { r.events = append(r.events, *ev)
 func (r *recorder) OnCall(ev *cpu.CallEvent)  { r.calls = append(r.calls, *ev) }
 func (r *recorder) OnReturn(ev *cpu.RetEvent) { r.returns = append(r.returns, *ev) }
 
+// lastCall is a CallObserver that copies each event and keeps nothing
+// else: the contract every call observer follows.
+type lastCall struct {
+	call  cpu.CallEvent
+	ret   cpu.RetEvent
+	calls int
+}
+
+func (o *lastCall) OnInst(*cpu.Event)         {}
+func (o *lastCall) OnCall(ev *cpu.CallEvent)  { o.call = *ev; o.calls++ }
+func (o *lastCall) OnReturn(ev *cpu.RetEvent) { o.ret = *ev }
+
+// TestCallEventsAllocateNothing: the machine reuses one CallEvent and
+// one RetEvent, so delivering calls and returns to an observer that
+// copies them costs no heap object on either dispatch path.
+func TestCallEventsAllocateNothing(t *testing.T) {
+	for _, noTranslate := range []bool{false, true} {
+		m := load(t, `
+__start:
+		li $a0, 1
+loop:
+		jal double
+		move $a0, $v0
+		b loop
+		.func double 1
+double:
+		addu $v0, $a0, $a0
+		jr $ra
+		.endfunc
+	`, "")
+		m.NoTranslate = noTranslate
+		o := &lastCall{}
+		m.Attach(o)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := m.Run(10_000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if o.calls == 0 || o.ret.Target != o.call.RetAddr {
+			t.Fatalf("noTranslate=%v: calls=%d, last return %+v vs call %+v",
+				noTranslate, o.calls, o.ret, o.call)
+		}
+		if allocs != 0 {
+			t.Errorf("noTranslate=%v: %v allocations per 10K instructions of calls and returns, want 0",
+				noTranslate, allocs)
+		}
+	}
+}
+
+// decliner is a CallObserver that declines call events.
+type decliner struct{ lastCall }
+
+func (*decliner) WantsCalls() bool { return false }
+
+// TestAttachHonorsWantsCalls: a call observer that declines calls is
+// attached for instructions only.
+func TestAttachHonorsWantsCalls(t *testing.T) {
+	m := load(t, exitStub+".func main 0\nmain: li $v0, 0\njr $ra\n.endfunc", "")
+	o, d := &lastCall{}, &decliner{}
+	m.Attach(o)
+	m.Attach(d)
+	if _, err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if o.calls != 1 || d.calls != 0 {
+		t.Errorf("calls seen: accepting observer %d (want 1), declining observer %d (want 0)", o.calls, d.calls)
+	}
+}
+
 func TestObserverEvents(t *testing.T) {
 	m := load(t, exitStub+`
 		.func double 1
