@@ -20,8 +20,10 @@ check: test lint race cover benchsmoke perfbench differential fuzzsmoke crashsmo
 # honest refactors don't trip it while untested subsystems do.
 COVER_FLOOR := 78
 
+# The test output goes to cover.log and is printed only on failure, so
+# a failing run shows which test broke.
 cover:
-	go test -count=1 -coverprofile=cover.out -coverpkg=./... ./... > /dev/null
+	go test -count=1 -coverprofile=cover.out -coverpkg=./... ./... > cover.log 2>&1 || { cat cover.log; exit 1; }
 	@total=$$(go tool cover -func=cover.out | awk '/^total:/ { gsub("%","",$$3); print $$3 }'); \
 	awk -v t=$$total -v floor=$(COVER_FLOOR) 'BEGIN { \
 		if (t+0 < floor+0) { printf "FAIL: coverage %.1f%% is below the %d%% floor\n", t, floor; exit 1 } \

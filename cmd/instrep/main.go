@@ -43,8 +43,7 @@
 //	              [-cache-max-bytes N] [-checkpoint-dir DIR]
 //	              [-skip N] [-measure N] [-timeout D] [-watchdog D]
 //	              [-request-timeout D] [-max-concurrent-sims N]
-//	              [-queue-depth N] [-breaker-threshold N]
-//	              [-breaker-cooldown D] [-retry-after D]
+//	              [-queue-depth N] [-retry-after D]
 //	              [-serve-stale=BOOL] [-trace-store N] [-trace-slow D]
 //	              [-access-log FILE] [-quiet]
 //	    Serve reports over HTTP backed by the content-addressed result
@@ -58,17 +57,17 @@
 //	    overload-hardened: cold simulations pass a bounded admission
 //	    gate (-max-concurrent-sims slots, -queue-depth FIFO waiters,
 //	    excess shed with 503 + Retry-After; /v1/tables/all simulates
-//	    as many workloads at once as there are slots), workloads failing
-//	    -breaker-threshold times in a row trip a per-workload circuit
-//	    breaker for -breaker-cooldown, and -serve-stale answers shed or
-//	    failed requests with the last known-good report under an
-//	    X-Instrep-Stale header. -cache-max-bytes bounds the disk cache
+//	    as many workloads at once as there are slots), a run that panics
+//	    or faults is remembered by the result cache so its repeats fail
+//	    the same way without simulating, and -serve-stale answers shed
+//	    or failed requests with the last known-good report under an
+//	    X-Instrep-Stale header. A -timeout abort answers 504. -cache-max-bytes bounds the disk cache
 //	    (LRU eviction); orphaned temp files from a crash are scrubbed
 //	    at startup. -checkpoint-dir makes simulations crash-resumable:
 //	    a daemon killed mid-simulation resumes from the last snapshot
 //	    at the next request for the same report, and checkpoint_*
 //	    counters join /metrics. /healthz reports
-//	    starting/ready/degraded/draining.
+//	    starting/ready/draining.
 //	    Every /v1 request is traced end to end: the response carries an
 //	    X-Instrep-Trace ID resolvable at GET /debug/traces/{id} to the
 //	    request's span tree (queue wait, simulation phases, cache
@@ -464,8 +463,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request timeout including any simulation (0 = the 2m default, negative = none)")
 	maxSims := fs.Int("max-concurrent-sims", 0, "max simulations in flight across all requests (0 = GOMAXPROCS, negative = unbounded)")
 	queueDepth := fs.Int("queue-depth", 0, "cold requests that may wait for a simulation slot before being shed with 503 (0 = default 8, negative = none)")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open a workload's circuit breaker (0 = default 3, negative = disabled)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker rejection window before a half-open probe (0 = default 30s)")
 	retryAfter := fs.Duration("retry-after", 0, "Retry-After hint on shed responses (0 = default 2s)")
 	serveStale := fs.Bool("serve-stale", true, "answer shed or failed requests with the last known-good report (X-Instrep-Stale: true)")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "disk cache capacity in bytes, LRU-evicted (0 = unbounded)")
@@ -543,8 +540,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		RequestTimeout:     *reqTimeout,
 		MaxConcurrentSims:  *maxSims,
 		QueueDepth:         *queueDepth,
-		BreakerThreshold:   *breakerThreshold,
-		BreakerCooldown:    *breakerCooldown,
 		RetryAfter:         *retryAfter,
 		ServeStale:         *serveStale,
 		TraceStoreSize:     *traceStore,

@@ -45,9 +45,9 @@ const maxBackoff = time.Minute
 type Options struct {
 	// Dir is the journal directory (required).
 	Dir string
-	// Runner executes jobs — the same gated, cached, breaker-guarded
-	// runner the synchronous API uses, so jobs respect admission
-	// control and fill the shared result cache (required).
+	// Runner executes jobs — the same gated, cached runner the
+	// synchronous API uses, so jobs respect admission control, fill the
+	// shared result cache, and share its failure memo (required).
 	Runner *repro.Runner
 	// Checkpoints, when set, makes every attempt crash-resumable: the
 	// manager threads a per-job CheckpointPolicy (keyed by the job ID,
@@ -619,10 +619,12 @@ func (m *Manager) appendLocked(rec Record) {
 
 // permanent reports whether the error can never succeed on retry.
 // Compile errors are deterministic — the same source fails the same
-// way forever. Everything else (timeout, watchdog, panic, shed, open
-// breaker, sim fault) is presumed transient: the environment, load,
-// or kill point may differ next attempt, and with checkpoints each
-// retry starts further along than the last.
+// way forever. Everything else (timeout, watchdog, panic, shed, sim
+// fault) is retried: the environment, load, or kill point may differ
+// next attempt, and with checkpoints each retry starts further along
+// than the last. A panic or sim fault is deterministic too, but its
+// retries cost only a lookup: the result cache remembers the failure
+// under the job's fingerprint and answers every retry with it.
 func permanent(err error) bool {
 	var compileErr *minic.Error
 	return errors.As(err, &compileErr)

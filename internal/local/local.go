@@ -222,6 +222,11 @@ func (a *Analysis) OnCall(ev *cpu.CallEvent) {
 	for i := 4; i < nargs && i < cpu.MaxTrackedArgs; i++ {
 		a.shadow.Set(ev.SP+uint32(4*i), byte(lArg))
 	}
+	if n := len(a.stack); n < cap(a.stack) {
+		// Reuse the saves capacity of the activation last popped from
+		// this slot, so a prologue store does not allocate per call.
+		fr.saves = a.stack[:n+1][n].saves[:0]
+	}
 	a.stack = append(a.stack, fr)
 }
 

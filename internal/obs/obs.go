@@ -140,7 +140,7 @@ func (r *Registry) CounterValues() []NamedValue {
 }
 
 // GaugeFunc registers a callback gauge: f is evaluated at every
-// GaugeValues snapshot, so live values (queue depths, open breakers)
+// GaugeValues snapshot, so live values (queue depths, sims in flight)
 // appear in /metrics without the owner pushing updates. Registering a
 // name again replaces the callback.
 func (r *Registry) GaugeFunc(name string, f func() int64) {

@@ -1,11 +1,10 @@
 // Package overload is the admission-control layer for the serving
 // stack: a bounded simulation semaphore with a short FIFO wait queue
-// (Gate) and a per-workload circuit breaker (BreakerSet). Both exist
-// to make the daemon degrade gracefully instead of collapsing — a
-// burst of cold requests is shed with a typed error the server maps to
-// HTTP 503 + Retry-After, and a workload that deterministically faults
-// stops burning simulation slots after a few consecutive failures.
-// See DESIGN.md §13.
+// (Gate). It makes the daemon degrade gracefully instead of
+// collapsing — a burst of cold requests is shed with a typed error the
+// server maps to HTTP 503 + Retry-After. (A workload that fails
+// deterministically is answered from the result cache's failure memo
+// and never reaches the Gate twice.) See DESIGN.md §13.
 package overload
 
 import (

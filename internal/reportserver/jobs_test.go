@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/minic"
 )
@@ -415,5 +417,52 @@ func TestJobAttemptBoundedByTimeout(t *testing.T) {
 	}
 	if n := s.jobs.Stats.Retried.Value(); n != 1 {
 		t.Errorf("retried = %d, want 1", n)
+	}
+}
+
+// TestJobFailureLeavesOtherConfigsServed pins that failures are
+// remembered per fingerprint, not per workload: a job at another
+// config that faults on every attempt never touches the server's own
+// config of the same workload, and the job's retries after its first
+// attempt are answered from the failure memo without simulating.
+func TestJobFailureLeavesOtherConfigsServed(t *testing.T) {
+	var sims, faulted atomic.Int64
+	run := func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+		if cfg.MeasureInstructions == 777 {
+			faulted.Add(1)
+			return &repro.Report{Benchmark: name, Truncated: true, TruncatedReason: core.ReasonFault},
+				fmt.Errorf("%s: simulated fault at measure 777", name)
+		}
+		return fakeRun(&sims, 0)(ctx, name, cfg)
+	}
+	s, ts := newJobsServer(t, Config{
+		RunConfig: repro.Config{SkipInstructions: 50, MeasureInstructions: 500},
+		Run:       run,
+	}, JobsConfig{})
+
+	code, _, body := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", `{"workload":"lzw","measure":777}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code=%d body=%q", code, body)
+	}
+	var doc jobs.Doc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc = pollJob(t, ts.URL, doc.ID, jobs.StateFailed)
+	if !strings.Contains(doc.Error, "measure 777") {
+		t.Errorf("job error = %q, want the simulated fault", doc.Error)
+	}
+	if n := s.jobs.Stats.Retried.Value(); n != jobs.DefaultRetries {
+		t.Errorf("retried = %d, want %d", n, jobs.DefaultRetries)
+	}
+	if n := faulted.Load(); n != 1 {
+		t.Errorf("simulations at measure 777 = %d, want 1 (retries hit the failure memo)", n)
+	}
+
+	if code, body := get(t, ts.URL+"/v1/report/lzw"); code != http.StatusOK {
+		t.Fatalf("server config of the same workload: code=%d body=%s, want 200", code, body)
+	}
+	if n := sims.Load(); n != 1 {
+		t.Errorf("simulations at the server's config = %d, want 1", n)
 	}
 }

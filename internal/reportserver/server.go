@@ -6,13 +6,13 @@
 //
 // The server is overload-hardened (DESIGN.md §13): cold simulations
 // pass through a bounded admission gate with a short FIFO queue
-// (excess load is shed with 503 + Retry-After), workloads that fail
-// repeatedly trip a per-workload circuit breaker and fail fast, and —
-// when serve-stale is enabled — shed or failed requests are answered
-// with the last known-good report under an X-Instrep-Stale header
-// instead of an error. /healthz exposes a readiness state machine
-// (starting → ready → degraded → draining) so load balancers see
-// degradation before collapse.
+// (excess load is shed with 503 + Retry-After), a run that panics or
+// faults is remembered by the result cache so its repeats answer the
+// same failure without simulating, and — when serve-stale is enabled
+// — shed or failed requests are answered with the last known-good
+// report under an X-Instrep-Stale header instead of an error. /healthz
+// exposes a readiness state machine (starting → ready → draining) so
+// load balancers stop routing before shutdown.
 //
 // Endpoints:
 //
@@ -60,6 +60,7 @@ import (
 
 	"repro"
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/overload"
@@ -77,12 +78,6 @@ const (
 	// for one cold full-workload sweep behind the running simulations,
 	// short enough that queued requests never wait unreasonably.
 	DefaultQueueDepth = 8
-	// DefaultBreakerThreshold is the consecutive-failure count that
-	// opens a workload's circuit breaker.
-	DefaultBreakerThreshold = 3
-	// DefaultBreakerCooldown is how long an open breaker rejects
-	// before admitting a half-open probe.
-	DefaultBreakerCooldown = 30 * time.Second
 	// DefaultRetryAfter is the back-off hint on shed responses.
 	DefaultRetryAfter = 2 * time.Second
 	// DefaultSlowTraceThreshold is the request duration past which a
@@ -133,22 +128,13 @@ type Config struct {
 	// queue). Ignored when MaxConcurrentSims is negative.
 	QueueDepth int
 
-	// BreakerThreshold is the consecutive simulation failures that
-	// open a workload's circuit breaker (0 = DefaultBreakerThreshold,
-	// negative = breakers disabled).
-	BreakerThreshold int
-
-	// BreakerCooldown is how long an open breaker rejects before a
-	// half-open probe (0 = DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
-
 	// RetryAfter is the Retry-After hint attached to shed responses
 	// (0 = DefaultRetryAfter).
 	RetryAfter time.Duration
 
 	// ServeStale serves the last known-good report (with an
 	// X-Instrep-Stale: true header) instead of an error when a
-	// request is shed, breaker-rejected, or its simulation fails.
+	// request is shed or its simulation fails.
 	ServeStale bool
 
 	// TraceStoreSize bounds how many finished request traces are
@@ -180,7 +166,6 @@ type Server struct {
 	cfg       Config
 	runner    *repro.Runner
 	gate      *overload.Gate
-	breakers  *overload.BreakerSet
 	names     map[string]bool
 	reg       *obs.Registry // server_* counters, gauges, latency histograms
 	log       *slog.Logger
@@ -199,8 +184,7 @@ type Server struct {
 	lastGood map[string][]byte
 }
 
-// Base lifecycle states. "degraded" is computed, not stored: the
-// server reports it while ready with any breaker open.
+// Lifecycle states.
 const (
 	stateStarting int32 = iota
 	stateReady
@@ -262,19 +246,7 @@ func New(cfg Config) *Server {
 		s.reg.GaugeFunc("server_queue_depth", s.gate.Queued)
 		s.reg.GaugeFunc("server_sims_inflight", s.gate.InFlight)
 	}
-	if cfg.BreakerThreshold >= 0 {
-		threshold := cfg.BreakerThreshold
-		if threshold == 0 {
-			threshold = DefaultBreakerThreshold
-		}
-		cooldown := cfg.BreakerCooldown
-		if cooldown == 0 {
-			cooldown = DefaultBreakerCooldown
-		}
-		s.breakers = overload.NewBreakerSet(threshold, cooldown, nil)
-		s.reg.GaugeFunc("server_breakers_open", s.breakers.OpenCount)
-	}
-	s.runner = &repro.Runner{Cache: cfg.Cache, Gate: s.gate, Breakers: s.breakers, Run: cfg.Run}
+	s.runner = &repro.Runner{Cache: cfg.Cache, Gate: s.gate, Run: cfg.Run}
 	if cfg.Checkpoints != nil {
 		s.runner.Checkpoint = &repro.CheckpointPolicy{Store: cfg.Checkpoints, Resume: true}
 	}
@@ -291,10 +263,8 @@ func (s *Server) MarkReady() {
 	s.state.CompareAndSwap(stateStarting, stateReady)
 }
 
-// State returns the readiness state ("starting", "ready", "degraded",
-// or "draining"). Degraded means the server is still answering — from
-// cache, stale copies, or fresh simulations of healthy workloads —
-// but at least one workload's circuit breaker is open.
+// State returns the readiness state ("starting", "ready", or
+// "draining").
 func (s *Server) State() string {
 	switch s.state.Load() {
 	case stateDraining:
@@ -302,9 +272,6 @@ func (s *Server) State() string {
 	case stateStarting:
 		return "starting"
 	default:
-		if s.breakers != nil && s.breakers.OpenCount() > 0 {
-			return "degraded"
-		}
 		return "ready"
 	}
 }
@@ -487,18 +454,17 @@ func outcomeFor(status int) string {
 }
 
 // classify maps an error to its HTTP status and, for overload
-// rejections, the Retry-After hint.
+// rejections, the Retry-After hint. A run-level timeout
+// (RunConfig.Timeout) answers 504 like a request deadline.
 func classify(err error, fallback int) (status int, retryAfter time.Duration) {
 	var shed *overload.ShedError
-	var open *overload.BreakerOpenError
+	var timeout *core.TimeoutError
 	switch {
 	case errors.As(err, &shed):
 		return http.StatusServiceUnavailable, shed.RetryAfter
-	case errors.As(err, &open):
-		return http.StatusServiceUnavailable, open.RetryAfter
 	case errors.Is(err, context.Canceled):
 		return statusClientClosedRequest, 0
-	case errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded), errors.As(err, &timeout):
 		return http.StatusGatewayTimeout, 0
 	default:
 		return fallback, 0
@@ -506,17 +472,12 @@ func classify(err error, fallback int) (status int, retryAfter time.Duration) {
 }
 
 // fail writes an error response, classifying context ends (client
-// cancel → 499, deadline → 504) and overload rejections (shed or open
-// breaker → 503 with Retry-After).
+// cancel → 499, deadline or run timeout → 504) and overload rejections
+// (shed → 503 with Retry-After).
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error, status int) {
 	status, retryAfter := classify(err, status)
 	if status == http.StatusServiceUnavailable {
-		var open *overload.BreakerOpenError
-		if errors.As(err, &open) {
-			s.reg.Counter("server_breaker_rejected").Inc()
-		} else {
-			s.reg.Counter("server_shed").Inc()
-		}
+		s.reg.Counter("server_shed").Inc()
 		if retryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retryAfter.Seconds()))))
 		}
@@ -538,24 +499,18 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 
 // healthDoc is the /healthz response document.
 type healthDoc struct {
-	State        string   `json:"state"`
-	OpenBreakers []string `json:"open_breakers,omitempty"`
-	QueueDepth   int64    `json:"queue_depth"`
-	SimsInflight int64    `json:"sims_inflight"`
-	JobsQueued   *int64   `json:"jobs_queued,omitempty"`  // job tier only
-	JobsRunning  *int64   `json:"jobs_running,omitempty"` // job tier only
+	State        string `json:"state"`
+	QueueDepth   int64  `json:"queue_depth"`
+	SimsInflight int64  `json:"sims_inflight"`
+	JobsQueued   *int64 `json:"jobs_queued,omitempty"`  // job tier only
+	JobsRunning  *int64 `json:"jobs_running,omitempty"` // job tier only
 }
 
 // handleHealthz serves the readiness state machine: 200 while the
-// server can answer (ready or degraded), 503 while it cannot be
-// trusted with new traffic (starting or draining). Load balancers
-// watching the body see "degraded" — and which workloads tripped it —
-// before the process is in real trouble.
+// server is ready, 503 while it cannot be trusted with new traffic
+// (starting or draining).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	doc := healthDoc{State: s.State()}
-	if s.breakers != nil {
-		doc.OpenBreakers = s.breakers.Open()
-	}
 	if s.gate != nil {
 		doc.QueueDepth = s.gate.Queued()
 		doc.SimsInflight = s.gate.InFlight()
@@ -673,8 +628,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := s.runner.RunWorkload(r.Context(), name, s.cfg.RunConfig)
 	if err != nil {
-		// Degradation ladder: a shed, breaker-rejected, or failed
-		// request is answered with the last known-good report when
+		// Degradation ladder: a shed or failed request (a remembered
+		// failure included) is answered with the last known-good report when
 		// serve-stale allows, and with a classified error otherwise.
 		if s.serveStale(w, r, name, err) {
 			return
@@ -744,16 +699,15 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 
 // metricsDoc is the /metrics JSON response document.
 type metricsDoc struct {
-	State        string               `json:"state"`
-	Requests     []obs.NamedValue     `json:"requests"`
-	Gauges       []obs.NamedValue     `json:"gauges"`
-	Latency      []obs.NamedHistogram `json:"latency"`
-	Cache        []obs.NamedValue     `json:"cache"`
-	Checkpoints  []obs.NamedValue     `json:"checkpoints,omitempty"`
-	Jobs         []obs.NamedValue     `json:"jobs,omitempty"`
-	Health       []obs.NamedValue     `json:"health"`
-	OpenBreakers []string             `json:"open_breakers,omitempty"`
-	Workloads    int                  `json:"workloads"`
+	State       string               `json:"state"`
+	Requests    []obs.NamedValue     `json:"requests"`
+	Gauges      []obs.NamedValue     `json:"gauges"`
+	Latency     []obs.NamedHistogram `json:"latency"`
+	Cache       []obs.NamedValue     `json:"cache"`
+	Checkpoints []obs.NamedValue     `json:"checkpoints,omitempty"`
+	Jobs        []obs.NamedValue     `json:"jobs,omitempty"`
+	Health      []obs.NamedValue     `json:"health"`
+	Workloads   int                  `json:"workloads"`
 }
 
 // wantsPrometheus reports whether the request negotiated the
@@ -806,9 +760,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.jobs != nil {
 		doc.Jobs = s.jobs.StatValues()
-	}
-	if s.breakers != nil {
-		doc.OpenBreakers = s.breakers.Open()
 	}
 	s.writeJSON(w, doc)
 }

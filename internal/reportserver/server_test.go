@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/resultcache"
 )
 
@@ -508,7 +509,9 @@ func TestServedReportMatchesGoldenCorpus(t *testing.T) {
 }
 
 // TestRequestTimeout pins the per-request timeout: a simulation slower
-// than the budget is cut off with 504.
+// than the budget is cut off with 504. A run cut off by the run-level
+// timeout (serve -timeout, RunConfig.Timeout) answers 504 as well: its
+// *core.TimeoutError does not wrap context.DeadlineExceeded.
 func TestRequestTimeout(t *testing.T) {
 	var sims atomic.Int64
 	_, ts := newTestServer(t, Config{
@@ -518,6 +521,14 @@ func TestRequestTimeout(t *testing.T) {
 	code, body := get(t, ts.URL+"/v1/report/goban")
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("want 504, got %d: %s", code, body)
+	}
+
+	_, ts = newTestServer(t, Config{
+		RunConfig: repro.Config{MeasureInstructions: 1 << 40, Timeout: time.Millisecond},
+	})
+	code, body = get(t, ts.URL+"/v1/report/lzw")
+	if code != http.StatusGatewayTimeout || !strings.Contains(string(body), "run exceeded timeout") {
+		t.Fatalf("run-level timeout: want 504, got %d: %s", code, body)
 	}
 }
 
@@ -646,11 +657,13 @@ func TestOverloadShedsBurst(t *testing.T) {
 	}
 }
 
-// TestDegradedStaleServing walks the degradation ladder: a workload
-// with a known-good report keeps being served (stale, flagged) while
-// its simulations fail and then while its breaker is open — without
-// burning simulation slots — and a workload with no good copy fails
-// fast. /healthz reports degraded the whole time.
+// TestDegradedStaleServing walks the degradation ladder with the
+// result cache's failure memo: a workload with a known-good report
+// keeps being served (stale, flagged) when its simulation faults, and
+// the fault is remembered, so the repeat is answered the same way
+// without a simulation. Failures that are not deterministic — an
+// error without a partial report, a timeout-truncated partial —
+// simulate again on every request. /healthz stays ready throughout.
 func TestDegradedStaleServing(t *testing.T) {
 	cache, err := resultcache.New(1, "") // one memory slot: lzw below evicts goban
 	if err != nil {
@@ -659,18 +672,26 @@ func TestDegradedStaleServing(t *testing.T) {
 	var sims atomic.Int64
 	var failing atomic.Bool
 	run := func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
-		if failing.Load() {
-			sims.Add(1)
-			return nil, fmt.Errorf("simulated fault in %s", name)
+		if !failing.Load() {
+			return fakeRun(&sims, 0)(ctx, name, cfg)
 		}
-		return fakeRun(&sims, 0)(ctx, name, cfg)
+		sims.Add(1)
+		partial := func(reason string) *repro.Report {
+			return &repro.Report{Benchmark: name, Truncated: true, TruncatedReason: reason}
+		}
+		switch name {
+		case "goban":
+			return partial(core.ReasonFault), fmt.Errorf("simulated fault in %s", name)
+		case "m88k":
+			return partial(core.ReasonTimeout), &core.TimeoutError{Benchmark: name, Limit: time.Millisecond}
+		default:
+			return nil, fmt.Errorf("simulated error in %s", name)
+		}
 	}
 	s, ts := newTestServer(t, Config{
-		Cache:            cache,
-		ServeStale:       true,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-		Run:              run,
+		Cache:      cache,
+		ServeStale: true,
+		Run:        run,
 	})
 
 	// Seed goban's known-good copy, then evict it from the cache so the
@@ -694,71 +715,61 @@ func TestDegradedStaleServing(t *testing.T) {
 		return resp.StatusCode, resp.Header.Get("X-Instrep-Stale"), body
 	}
 
-	// Failures 1 and 2: each simulates, fails, and is answered stale.
+	// The fault and its repeat are both answered stale; only the first
+	// simulates.
 	for i := 0; i < 2; i++ {
 		code, stale, body := getStale()
 		if code != http.StatusOK || stale != "true" {
-			t.Fatalf("failure %d: code=%d stale=%q body=%s", i+1, code, stale, body)
+			t.Fatalf("request %d: code=%d stale=%q body=%s", i+1, code, stale, body)
 		}
 		if !bytes.Equal(body, goodBody) {
 			t.Fatalf("stale body differs from the known-good report")
 		}
 	}
-	if n := sims.Load(); n != 2 {
-		t.Fatalf("simulations before breaker opens = %d, want 2", n)
+	if n := sims.Load(); n != 1 {
+		t.Fatalf("simulations for a remembered fault = %d, want 1", n)
+	}
+	if got := cache.Stats.FailureHits.Value(); got != 1 {
+		t.Fatalf("failure_hits = %d, want 1", got)
 	}
 
-	// The breaker is open now: stale is served without a simulation.
-	code, stale, body := getStale()
-	if code != http.StatusOK || stale != "true" || !bytes.Equal(body, goodBody) {
-		t.Fatalf("breaker-open stale serve: code=%d stale=%q", code, stale)
+	// Neither a report-less error (500) nor a timeout-truncated partial
+	// (504) is remembered: each request simulates.
+	for _, c := range []struct {
+		name string
+		want int
+	}{{"cc1", http.StatusInternalServerError}, {"m88k", http.StatusGatewayTimeout}} {
+		before := sims.Load()
+		for i := 0; i < 2; i++ {
+			if code, body := get(t, ts.URL+"/v1/report/"+c.name); code != c.want {
+				t.Fatalf("%s failure %d: %d, want %d: %s", c.name, i+1, code, c.want, body)
+			}
+		}
+		if n := sims.Load() - before; n != 2 {
+			t.Fatalf("%s: %d simulations for two failing requests, want 2 (never remembered)", c.name, n)
+		}
 	}
-	if n := sims.Load(); n != 2 {
-		t.Fatalf("breaker-open request simulated: %d sims", n)
+	if got := cache.Stats.FailureHits.Value(); got != 1 {
+		t.Fatalf("failure_hits = %d after unremembered failures, want 1", got)
 	}
-	if got := s.State(); got != "degraded" {
-		t.Fatalf("state = %q, want degraded", got)
+
+	if got := s.State(); got != "ready" {
+		t.Fatalf("state = %q, want ready", got)
 	}
 	code, hbody := get(t, ts.URL+"/healthz")
-	if code != http.StatusOK || !strings.Contains(string(hbody), `"degraded"`) ||
-		!strings.Contains(string(hbody), `"goban"`) {
-		t.Fatalf("healthz while degraded: code=%d body=%s", code, hbody)
+	if code != http.StatusOK || !strings.Contains(string(hbody), `"ready"`) {
+		t.Fatalf("healthz after failures: code=%d body=%s", code, hbody)
 	}
 
-	// A workload with no known-good copy fails fast once ITS breaker
-	// opens: 503 + Retry-After, no slot burned.
-	for i := 0; i < 2; i++ {
-		resp, err := http.Get(ts.URL + "/v1/report/cc1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("cc1 failure %d: %d, want 500", i+1, resp.StatusCode)
-		}
-	}
-	simsBefore := sims.Load()
-	resp, err := http.Get(ts.URL + "/v1/report/cc1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("breaker-open no-stale request: %d (Retry-After %q), want 503 with hint",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	if sims.Load() != simsBefore {
-		t.Fatal("breaker-open request must not simulate")
-	}
-
-	// Recovery: the runs heal, the long cooldown still blocks goban (no
-	// probe yet), but cached/healthy workloads keep serving normally.
+	// The memo lives in the memory tier under its LRU bound: storing
+	// lzw evicts it, and the next goban request simulates afresh.
 	failing.Store(false)
-	code, fresh := get(t, ts.URL+"/v1/report/lzw")
-	if code != http.StatusOK {
-		t.Fatalf("healthy workload while degraded: %d %s", code, fresh)
+	if code, fresh := get(t, ts.URL+"/v1/report/lzw"); code != http.StatusOK {
+		t.Fatalf("healthy workload after failures: %d %s", code, fresh)
+	}
+	before := sims.Load()
+	if code, stale, _ := getStale(); code != http.StatusOK || stale != "" || sims.Load() != before+1 {
+		t.Fatalf("goban after its memo was evicted: code=%d stale=%q sims=%d", code, stale, sims.Load()-before)
 	}
 }
 

@@ -403,12 +403,10 @@ func TestMetricNamesPinned(t *testing.T) {
 		"server_requests_client_disconnect": true,
 		"server_errors":                     true,
 		"server_shed":                       true,
-		"server_breaker_rejected":           true,
 		"server_stale_served":               true,
 		// gauges
 		"server_queue_depth":   true,
 		"server_sims_inflight": true,
-		"server_breakers_open": true,
 		// latency histograms
 		"server_latency_healthz":    true,
 		"server_latency_metrics":    true,

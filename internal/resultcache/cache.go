@@ -31,13 +31,14 @@ type Stats struct {
 	TmpOrphans    obs.Counter // orphaned temp files removed by the startup scrub
 	DiskErrors    obs.Counter // disk-tier write failures (entry kept in memory only)
 	Uncacheable   obs.Counter // computed reports not stored (truncated/partial)
+	FailureHits   obs.Counter // repeats answered by a remembered deterministic failure
 	InflightRuns  obs.Gauge   // simulations currently running on behalf of the cache
 }
 
 // Options configures a Cache beyond New's positional parameters.
 type Options struct {
-	// MaxEntries is the in-memory LRU capacity in reports (<= 0 =
-	// DefaultMaxEntries).
+	// MaxEntries is the in-memory LRU capacity in reports and
+	// remembered failures (<= 0 = DefaultMaxEntries).
 	MaxEntries int
 	// Dir enables the disk tier under this directory ("" = memory
 	// only; created if missing).
@@ -68,10 +69,13 @@ type Cache struct {
 	Stats Stats
 }
 
-// cacheEntry is one memory-tier slot: the key and the canonical JSON.
+// cacheEntry is one memory-tier slot: the key and either the
+// canonical JSON of a complete report or, for a remembered
+// deterministic failure, the failed call itself.
 type cacheEntry struct {
-	key  string
-	data []byte
+	key    string
+	data   []byte
+	failed *call
 }
 
 // call is one in-flight computation; followers block on done and then
@@ -114,7 +118,8 @@ func NewWith(o Options) (*Cache, error) {
 	return c, nil
 }
 
-// Len returns the number of entries in the memory tier.
+// Len returns the number of entries in the memory tier, remembered
+// failures included.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -131,21 +136,29 @@ func (c *Cache) Len() int {
 //
 // A computed report is stored only when compute succeeds and the
 // report is complete: truncated partial reports pass through to the
-// caller without poisoning the cache. If the computing call is
-// canceled by its own context, waiting callers whose contexts are
-// still live retry (leading to a fresh computation) instead of
-// inheriting the foreign cancellation.
+// caller without poisoning the cache. A deterministic failure (see
+// remembered) is kept in the memory tier instead: every later call
+// for key gets the same (partial report, error) pair without
+// computing, until LRU eviction or a restart forgets it. If the
+// computing call is canceled by its own context, waiting callers
+// whose contexts are still live retry (leading to a fresh
+// computation) instead of inheriting the foreign cancellation.
 func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(context.Context) (*core.Report, error)) (*core.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	for {
 		c.mu.Lock()
-		if data, ok := c.getMemLocked(key); ok {
+		if e, ok := c.getMemLocked(key); ok {
 			c.mu.Unlock()
+			if e.failed != nil {
+				c.Stats.FailureHits.Inc()
+				obs.SpanFrom(ctx).SetAttr("cache_tier", "failure")
+				return e.failed.rep, e.failed.err
+			}
 			c.Stats.Hits.Inc()
 			obs.SpanFrom(ctx).SetAttr("cache_tier", "memory")
-			return decodeReport(data)
+			return decodeReport(e.data)
 		}
 		if cl, ok := c.flight[key]; ok {
 			c.mu.Unlock()
@@ -164,6 +177,11 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(conte
 		rep, err := c.lead(ctx, key, compute)
 		cl.rep, cl.err = rep, err
 		c.mu.Lock()
+		if remembered(rep, err) {
+			// Under the same lock as the flight removal, so no second
+			// computation can start in between.
+			c.putMemLocked(&cacheEntry{key: key, failed: cl})
+		}
 		delete(c.flight, key)
 		c.mu.Unlock()
 		close(cl.done)
@@ -208,14 +226,30 @@ func (c *Cache) lead(ctx context.Context, key string, compute func(context.Conte
 	return rep, nil
 }
 
+// remembered reports whether a computed outcome is a deterministic
+// failure worth keeping: an error that came with a partial report cut
+// short by a panic or a simulator fault. A run is a pure function of
+// its key, so such a run fails the same way every time. Cancels,
+// timeouts and watchdog aborts are wall-clock causes and are not
+// remembered; neither is an error without a report (a shed request,
+// a compile error).
+func remembered(rep *core.Report, err error) bool {
+	return err != nil && rep != nil &&
+		(rep.TruncatedReason == core.ReasonPanic || rep.TruncatedReason == core.ReasonFault)
+}
+
 // wait blocks until the in-flight call finishes or ctx ends. retry is
 // true when the leader was canceled by its own context while ours is
-// still live: the caller should restart the lookup.
+// still live: the caller should restart the lookup. A follower of a
+// remembered failure gets the leader's pair, as a later memo hit does.
 func (c *Cache) wait(ctx context.Context, cl *call) (rep *core.Report, err error, retry bool) {
 	select {
 	case <-ctx.Done():
 		return nil, context.Cause(ctx), false
 	case <-cl.done:
+	}
+	if remembered(cl.rep, cl.err) {
+		return cl.rep, cl.err, false
 	}
 	if cl.err != nil {
 		if ctx.Err() == nil &&
@@ -229,26 +263,31 @@ func (c *Cache) wait(ctx context.Context, cl *call) (rep *core.Report, err error
 
 // getMemLocked returns the memory-tier entry and marks it recently
 // used. Caller holds c.mu.
-func (c *Cache) getMemLocked(key string) ([]byte, bool) {
+func (c *Cache) getMemLocked(key string) (*cacheEntry, bool) {
 	el, ok := c.byKey[key]
 	if !ok {
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).data, true
+	return el.Value.(*cacheEntry), true
 }
 
-// putMem inserts (or refreshes) a memory-tier entry, evicting from the
-// LRU tail past capacity.
+// putMem inserts (or refreshes) a memory-tier report entry.
 func (c *Cache) putMem(key string, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).data = data
+	c.putMemLocked(&cacheEntry{key: key, data: data})
+}
+
+// putMemLocked inserts (or replaces) a memory-tier entry, evicting
+// from the LRU tail past capacity. Caller holds c.mu.
+func (c *Cache) putMemLocked(e *cacheEntry) {
+	if el, ok := c.byKey[e.key]; ok {
+		el.Value = e
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, data: data})
+	c.byKey[e.key] = c.lru.PushFront(e)
 	for c.lru.Len() > c.maxEntries {
 		last := c.lru.Back()
 		c.lru.Remove(last)
@@ -280,6 +319,7 @@ func (c *Cache) StatValues() []obs.NamedValue {
 		{Name: "disk_hits", Value: int64(c.Stats.DiskHits.Value())},
 		{Name: "entries", Value: int64(c.Len())},
 		{Name: "evictions", Value: int64(c.Stats.Evictions.Value())},
+		{Name: "failure_hits", Value: int64(c.Stats.FailureHits.Value())},
 		{Name: "hits", Value: int64(c.Stats.Hits.Value())},
 		{Name: "inflight_runs", Value: c.Stats.InflightRuns.Value()},
 		{Name: "misses", Value: int64(c.Stats.Misses.Value())},

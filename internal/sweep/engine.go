@@ -12,8 +12,8 @@ import (
 
 // RunFunc computes one cell. repro.Runner.RunWorkload satisfies it
 // directly (repro.Config/Report alias the core types), which is how
-// the CLI threads the result cache, checkpointing, admission gate,
-// and breakers through every cell.
+// the CLI threads the result cache (with its failure memo),
+// checkpointing, and the admission gate through every cell.
 type RunFunc func(ctx context.Context, workload string, cfg core.Config) (*core.Report, error)
 
 // Progress is one cell-completion notification. The callback may be

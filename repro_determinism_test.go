@@ -143,7 +143,7 @@ func TestCacheTransparency(t *testing.T) {
 
 // TestAdmissionPreservesDeterminism pins that the overload machinery
 // is invisible to report content: a Runner with a one-slot admission
-// gate and circuit breakers, serving concurrent demand for the same
+// gate, serving concurrent demand for the same
 // workload, produces canonical bytes identical to a bare uncached run.
 func TestAdmissionPreservesDeterminism(t *testing.T) {
 	ctx := context.Background()
@@ -160,9 +160,8 @@ func TestAdmissionPreservesDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	rn := &repro.Runner{
-		Cache:    cache,
-		Gate:     overload.NewGate(1, 2, time.Second),
-		Breakers: overload.NewBreakerSet(3, time.Minute, nil),
+		Cache: cache,
+		Gate:  overload.NewGate(1, 2, time.Second),
 	}
 	const callers = 8
 	got := make([][]byte, callers)

@@ -37,7 +37,10 @@ func CanonicalReportJSON(r *Report) ([]byte, error) {
 // RunMetrics (those are per-execution wall-clock data) and must be
 // treated as read-only, since concurrent callers may share them.
 // Runs with fault injection configured bypass the cache entirely, and
-// truncated partial reports are returned but never stored.
+// truncated partial reports are returned but never stored. A run cut
+// short by a panic or a simulator fault fails the same way every time,
+// so the cache remembers that failure under the run's fingerprint and
+// answers repeats with it, without simulating or taking a Gate slot.
 type Runner struct {
 	// Cache is the result cache (nil = always simulate).
 	Cache *resultcache.Cache
@@ -48,15 +51,6 @@ type Runner struct {
 	// slot. When both the semaphore and its wait queue are full the
 	// run fails fast with an *overload.ShedError.
 	Gate *overload.Gate
-
-	// Breakers is the per-workload circuit breaker set (nil = none).
-	// After its threshold of consecutive simulation failures —
-	// panics, faults, timeouts, watchdog aborts — a workload's runs
-	// fail fast with an *overload.BreakerOpenError, without taking a
-	// Gate slot, until a cooldown elapses and a half-open probe
-	// succeeds. Cached results are still served while a breaker is
-	// open.
-	Breakers *overload.BreakerSet
 
 	// Checkpoint, when set (with a Store), threads crash-resumable
 	// checkpointing through every eligible run: the policy is copied
@@ -88,22 +82,13 @@ func (rn *Runner) runOne() func(context.Context, string, Config) (*Report, error
 	return RunWorkload
 }
 
-// admitted wraps a compute function with the breaker check, the
-// admission gate, and the trace spans that make both visible: a
-// "queue" span covering the Gate wait (attrs wait_ns and outcome) and
-// a "sim" span covering the simulation itself. Ordering matters: the
-// breaker rejects before a semaphore slot is taken, so an open breaker
-// costs nothing, and a shed probe is reverted (not counted as a
-// failure) by Record's ShedError handling.
+// admitted wraps a compute function with the admission gate and the
+// trace spans that make it visible: a "queue" span covering the Gate
+// wait (attrs wait_ns and outcome) and a "sim" span covering the
+// simulation itself.
 func (rn *Runner) admitted(run func(context.Context, string, Config) (*Report, error)) func(context.Context, string, Config) (*Report, error) {
 	return func(ctx context.Context, name string, cfg Config) (*Report, error) {
 		req := obs.SpanFrom(ctx) // the request/run root, if the edge installed one
-		if rn != nil && rn.Breakers != nil {
-			if err := rn.Breakers.Allow(name); err != nil {
-				req.SetAttr("breaker", "open")
-				return nil, err
-			}
-		}
 		if rn != nil && rn.Gate != nil {
 			queue, _ := obs.StartSpanCtx(ctx, "queue")
 			err := rn.Gate.Acquire(ctx)
@@ -112,9 +97,6 @@ func (rn *Runner) admitted(run func(context.Context, string, Config) (*Report, e
 			req.SetAttr("queue_wait_ns", wait.Nanoseconds())
 			if err != nil {
 				queue.SetAttr("outcome", "shed")
-				if rn.Breakers != nil {
-					rn.Breakers.Record(name, err) // reverts a shed half-open probe
-				}
 				return nil, err
 			}
 			queue.SetAttr("outcome", "admitted")
@@ -127,16 +109,13 @@ func (rn *Runner) admitted(run func(context.Context, string, Config) (*Report, e
 		if rep != nil && rep.Metrics != nil {
 			sim.SetAttr("retired", rep.Metrics.Sim.Retired)
 		}
-		if rn != nil && rn.Breakers != nil {
-			rn.Breakers.Record(name, err)
-		}
 		return rep, err
 	}
 }
 
 // RunWorkload is RunWorkload through the cache: a fingerprint hit
-// skips the simulation and returns the stored canonical report.
-// Admission control and the circuit breaker (when configured) apply
+// skips the simulation and returns the stored canonical report (or
+// the remembered failure). Admission control (when configured) applies
 // only to the computation itself — cached reports are always served.
 func (rn *Runner) RunWorkload(ctx context.Context, name string, cfg Config) (*Report, error) {
 	run := rn.admitted(rn.runOne())
